@@ -5,7 +5,7 @@
 namespace colibri::arch {
 
 Addr Allocator::allocGlobal(std::uint64_t n) {
-  const std::uint64_t numBanks = cfg_.numBanks();
+  const std::uint64_t numBanks = map_.numBanks();
   // Start past every per-bank cursor so interleaved rows never collide with
   // earlier tile-local allocations.
   for (const auto cursor : nextOffsetPerBank_) {
@@ -26,19 +26,20 @@ Addr Allocator::allocGlobal(std::uint64_t n) {
 std::vector<Addr> Allocator::allocLocal(TileId t, std::uint64_t n) {
   std::vector<Addr> out;
   out.reserve(n);
-  const BankId first = t * cfg_.banksPerTile;
+  const std::uint32_t banksPerTile = map_.banksPerTile();
+  const BankId first = t * banksPerTile;
   for (std::uint64_t i = 0; i < n; ++i) {
     // Round-robin across the tile's banks to spread local traffic.
-    const BankId b = first + static_cast<BankId>(i % cfg_.banksPerTile);
+    const BankId b = first + static_cast<BankId>(i % banksPerTile);
     out.push_back(allocInBank(b));
   }
   return out;
 }
 
 Addr Allocator::allocInBank(BankId b) {
-  COLIBRI_CHECK(b < cfg_.numBanks());
+  COLIBRI_CHECK(b < map_.numBanks());
   std::uint64_t& cursor = nextOffsetPerBank_[b];
-  COLIBRI_CHECK_MSG(cursor < cfg_.wordsPerBank, "SPM exhausted (bank)");
+  COLIBRI_CHECK_MSG(cursor < map_.wordsPerBank(), "SPM exhausted (bank)");
   return map_.compose(b, cursor++);
 }
 

@@ -3,9 +3,10 @@
 // The modeled L1 is word-interleaved across all banks (as in MemPool):
 // consecutive word addresses land in consecutive banks, so a dense array
 // spreads across the whole machine while a stride of numBanks() stays
-// inside one bank. The allocator hands out either interleaved (global)
-// regions or tile-local regions (all words of which live in one tile's
-// banks — used for MCS queue nodes so cores spin/wait locally).
+// inside one bank. AddressMap is the single owner of that interleave.
+// The allocator hands out either interleaved (global) regions or
+// tile-local regions (all words of which live in one tile's banks — used
+// for MCS queue nodes so cores spin/wait locally).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,9 @@ class AddressMap {
   [[nodiscard]] std::uint64_t numWords() const {
     return static_cast<std::uint64_t>(numBanks_) * wordsPerBank_;
   }
+  [[nodiscard]] std::uint32_t numBanks() const { return numBanks_; }
+  [[nodiscard]] std::uint32_t banksPerTile() const { return banksPerTile_; }
+  [[nodiscard]] std::uint32_t wordsPerBank() const { return wordsPerBank_; }
 
   /// Address of word `offset` in bank `b` (inverse of bankOf/offsetOf).
   [[nodiscard]] Addr compose(BankId b, std::uint64_t offset) const {
@@ -56,9 +60,7 @@ class AddressMap {
 class Allocator {
  public:
   explicit Allocator(const SystemConfig& cfg)
-      : map_(cfg),
-        nextOffsetPerBank_(cfg.numBanks(), 0),
-        cfg_(cfg) {}
+      : map_(cfg), nextOffsetPerBank_(cfg.numBanks(), 0) {}
 
   /// Allocate `n` consecutive word addresses (interleaved across banks).
   [[nodiscard]] Addr allocGlobal(std::uint64_t n);
@@ -76,7 +78,6 @@ class Allocator {
   AddressMap map_;
   std::uint64_t nextGlobalOffset_ = 0;  // in units of full rows (numBanks words)
   std::vector<std::uint64_t> nextOffsetPerBank_;
-  SystemConfig cfg_;
 };
 
 }  // namespace colibri::arch

@@ -10,23 +10,25 @@
 namespace colibri::arch {
 
 Bank::Bank(sim::Engine& engine, Network& net, CoreSink& sink,
-           const SystemConfig& cfg, BankId id)
+           const AddressMap& map, Word* spm, const SystemConfig& cfg,
+           BankId id)
     : engine_(engine),
       net_(net),
       sink_(sink),
-      cfg_(cfg),
+      map_(map),
+      spm_(spm),
+      numCores_(cfg.numCores),
       id_(id),
       port_(cfg.bankPortsPerCycle),
-      words_(cfg.wordsPerBank, 0) {
-  adapter_ = atomics::makeAdapter(cfg, *this);
-}
+      adapter_(atomics::makeAdapter(cfg, *this)) {}
 
-std::uint64_t Bank::offsetOf(Addr a) const {
-  COLIBRI_CHECK_MSG(a % cfg_.numBanks() == id_,
+Addr Bank::checked(Addr a) const {
+  COLIBRI_CHECK_MSG(map_.bankOf(a) == id_,
                     "address " << a << " does not map to bank " << id_);
-  const std::uint64_t off = a / cfg_.numBanks();
-  COLIBRI_CHECK(off < words_.size());
-  return off;
+  COLIBRI_CHECK_MSG(a < map_.numWords(),
+                    "address " << a << " is outside the " << map_.numWords()
+                               << "-word SPM");
+  return a;
 }
 
 void Bank::receive(const MemRequest& req) {
@@ -80,14 +82,14 @@ sim::Cycle Bank::backlogAt(sim::Cycle at) const {
                          !sim::ParallelDispatch::inWindowContext();
   const sim::Cycle free =
       useShadow ? sim::ThroughputResource::peekFrom(
-                      shadow_->cursor, shadow_->used, cfg_.bankPortsPerCycle, at)
+                      shadow_->cursor, shadow_->used, port_.slotsPerCycle(), at)
                 : port_.peek(at);
   return free - at;
 }
 
-Word Bank::read(Addr a) const { return words_[offsetOf(a)]; }
+Word Bank::read(Addr a) const { return spm_[checked(a)]; }
 
-void Bank::writeRaw(Addr a, Word v) { words_[offsetOf(a)] = v; }
+void Bank::writeRaw(Addr a, Word v) { spm_[checked(a)] = v; }
 
 void Bank::respond(CoreId c, const MemResponse& r) {
   // Responses ride dedicated return paths (no shared stages), so the

@@ -1,15 +1,15 @@
-// Memory bank: word storage + single-ported access + the atomic adapter.
+// Memory bank: single-ported access to its SPM words + the atomic adapter.
 //
 // One Bank models one SPM bank. Requests arriving from the network are
 // serialized through the bank port (bankPortsPerCycle per cycle, FIFO) and
 // then handed to the adapter. The Bank implements BankContext so the
 // adapter can read/write storage and emit responses/protocol messages.
+// The words themselves live in the System's flat SPM array, indexed by
+// address; a bank only checks that an address really maps to it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "arch/address.hpp"
 #include "arch/config.hpp"
@@ -47,8 +47,12 @@ struct BankStats {
 
 class Bank final : public atomics::BankContext {
  public:
+  /// `spm` is the System's flat word array (map.numWords() words); `cfg`
+  /// selects the adapter and port count and is not retained.
   Bank(sim::Engine& engine, Network& net, CoreSink& sink,
-       const SystemConfig& cfg, BankId id);
+       const AddressMap& map, Word* spm, const SystemConfig& cfg, BankId id);
+  Bank(const Bank&) = delete;
+  Bank& operator=(const Bank&) = delete;
 
   /// Entry point from the network: arbitrate the port, then run the adapter.
   void receive(const MemRequest& req);
@@ -61,9 +65,7 @@ class Bank final : public atomics::BankContext {
                            bool successorIsMwait) override;
   [[nodiscard]] sim::Cycle now() const override { return engine_.now(); }
   [[nodiscard]] BankId bankId() const override { return id_; }
-  [[nodiscard]] std::uint32_t numCores() const override {
-    return cfg_.numCores;
-  }
+  [[nodiscard]] std::uint32_t numCores() const override { return numCores_; }
 
   /// Cycles a request arriving at `at` would wait for the bank port — the
   /// congestion signal the network's backpressure proxy uses. During a
@@ -103,19 +105,22 @@ class Bank final : public atomics::BankContext {
   void resetStats();
 
  private:
-  [[nodiscard]] std::uint64_t offsetOf(Addr a) const;
+  /// Index of `a` in the flat SPM array: `a` itself, once checked to be
+  /// in range and owned by this bank.
+  [[nodiscard]] Addr checked(Addr a) const;
 
   sim::Engine& engine_;
   Network& net_;
   CoreSink& sink_;
-  SystemConfig cfg_;
+  const AddressMap& map_;
+  Word* spm_;
+  std::uint32_t numCores_;
   BankId id_;
   sim::ThroughputResource port_;
   sim::Cycle lastServe_ = 0;  ///< stall clamp: service stays in-order
   fault::FaultPlan* fault_ = nullptr;
   sim::ParallelDispatch::PortShadow* shadow_ = nullptr;
   const obs::SimHooks* hooks_ = nullptr;
-  std::vector<Word> words_;
   std::unique_ptr<atomics::AtomicAdapter> adapter_;
   BankStats stats_;
 };

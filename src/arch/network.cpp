@@ -26,8 +26,13 @@ constexpr std::size_t kDistanceClasses = 3;
 }  // namespace
 
 Network::Network(Engine& engine, const SystemConfig& cfg)
-    : engine_(engine), topo_(cfg), cfg_(cfg) {
-  const std::uint32_t groups = cfg.numGroups();
+    : engine_(engine),
+      topo_(cfg),
+      numCores_(cfg.numCores),
+      numBanks_(cfg.numBanks()),
+      numGroups_(cfg.numGroups()),
+      latency_{cfg.latLocalTile, cfg.latSameGroup, cfg.latRemoteGroup} {
+  const std::uint32_t groups = numGroups_;
   localRouters_.reserve(groups);
   groupEgress_.reserve(groups);
   for (std::uint32_t g = 0; g < groups; ++g) {
@@ -65,15 +70,7 @@ std::size_t Network::denseClampBytes(const SystemConfig& cfg) {
 }
 
 Cycle Network::baseLatency(Distance d) const {
-  switch (d) {
-    case Distance::kLocalTile:
-      return cfg_.latLocalTile;
-    case Distance::kSameGroup:
-      return cfg_.latSameGroup;
-    case Distance::kRemoteGroup:
-      return cfg_.latRemoteGroup;
-  }
-  return cfg_.latRemoteGroup;
+  return latency_[static_cast<std::size_t>(d)];
 }
 
 NetworkStats& Network::currentStats() {
@@ -102,7 +99,7 @@ Cycle Network::acquireRequestPath(GroupId srcGroup, GroupId dstGroup,
       // tile's remote ingress — all touched only by remote traffic.
       const Cycle egress = groupEgress_[srcGroup].acquire(at, holdSlots);
       const std::size_t link =
-          static_cast<std::size_t>(srcGroup) * cfg_.numGroups() + dstGroup;
+          static_cast<std::size_t>(srcGroup) * numGroups_ + dstGroup;
       const Cycle linkCleared = groupLinks_[link].acquire(egress, holdSlots);
       const Cycle granted =
           tileIngress_[dstTile].acquire(linkCleared, holdSlots);
@@ -115,7 +112,7 @@ Cycle Network::acquireRequestPath(GroupId srcGroup, GroupId dstGroup,
 
 Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
                             std::uint32_t holdSlots) {
-  COLIBRI_CHECK_MSG(c < cfg_.numCores && b < cfg_.numBanks(),
+  COLIBRI_CHECK_MSG(c < numCores_ && b < numBanks_,
                     "routeRequest with out-of-range endpoint: core "
                         << c << " bank " << b);
   const TileId srcTile = topo_.tileOfCore(c);
@@ -159,7 +156,7 @@ Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
     // Exhaustive cross-check against the retired dense per-pair clamp: the
     // sparse layout must deliver exactly what the dense one would have.
     Cycle& pairLast =
-        denseCoreToBank_[static_cast<std::size_t>(c) * cfg_.numBanks() + b];
+        denseCoreToBank_[static_cast<std::size_t>(c) * numBanks_ + b];
     const Cycle denseArrive = arrive < pairLast ? pairLast : arrive;
     COLIBRI_CHECK_MSG(denseArrive == arrive,
                       "sparse clamp diverged from dense per-pair clamp: core "
@@ -172,7 +169,7 @@ Cycle Network::routeRequest(CoreId c, BankId b, Cycle at,
 }
 
 Cycle Network::routeResponse(BankId b, CoreId c, Cycle at) {
-  COLIBRI_CHECK_MSG(c < cfg_.numCores && b < cfg_.numBanks(),
+  COLIBRI_CHECK_MSG(c < numCores_ && b < numBanks_,
                     "routeResponse with out-of-range endpoint: bank "
                         << b << " core " << c);
   const TileId srcTile = topo_.tileOfBank(b);
@@ -203,7 +200,7 @@ Cycle Network::routeResponse(BankId b, CoreId c, Cycle at) {
 #ifndef NDEBUG
   if (!denseBankToCore_.empty()) {
     Cycle& pairLast =
-        denseBankToCore_[static_cast<std::size_t>(b) * cfg_.numCores + c];
+        denseBankToCore_[static_cast<std::size_t>(b) * numCores_ + c];
     const Cycle denseArrive = arrive < pairLast ? pairLast : arrive;
     COLIBRI_CHECK_MSG(denseArrive == arrive,
                       "sparse clamp diverged from dense per-pair clamp: bank "

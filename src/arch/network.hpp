@@ -147,7 +147,12 @@ class Network {
 
   Engine& engine_;
   Topology topo_;
-  SystemConfig cfg_;
+  // The few config values routing reads, cached so no message recomputes
+  // a derived geometry count.
+  std::uint32_t numCores_;
+  std::uint32_t numBanks_;
+  std::uint32_t numGroups_;
+  std::array<Cycle, 3> latency_;  // one-way base latency, indexed by Distance
   // Shared stages, each owned by exactly one distance class (see header
   // comment): same-group traffic uses the group's local router; remote
   // traffic uses source egress -> directed link -> destination ingress.

@@ -14,13 +14,28 @@
 
 namespace colibri::arch {
 
-System::System(const SystemConfig& cfg)
-    : cfg_(cfg), net_(engine_, cfg), alloc_(cfg) {
-  cfg_.validate();
+namespace {
 
-  banks_.reserve(cfg_.numBanks());
+// Runs in the member-initializer list, ahead of the members whose
+// constructors divide by geometry fields (a zero there would be SIGFPE,
+// not an InvariantViolation).
+const SystemConfig& validated(const SystemConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+
+}  // namespace
+
+System::System(const SystemConfig& cfg)
+    : cfg_(validated(cfg)),
+      net_(engine_, cfg_),
+      alloc_(cfg_),
+      spm_(cfg_.numWords(), 0),
+      banks_(cfg_.numBanks()),
+      cores_(cfg_.numCores) {
   for (BankId b = 0; b < cfg_.numBanks(); ++b) {
-    banks_.push_back(std::make_unique<Bank>(engine_, net_, *this, cfg_, b));
+    banks_.emplace_back(engine_, net_, *this, alloc_.map(), spm_.data(), cfg_,
+                        b);
   }
 
   qnodes_.reserve(cfg_.numCores);
@@ -29,11 +44,10 @@ System::System(const SystemConfig& cfg)
   }
 
   coreHot_.resize(cfg_.numCores);
-  cores_.reserve(cfg_.numCores);
   for (CoreId c = 0; c < cfg_.numCores; ++c) {
-    cores_.push_back(std::make_unique<Core>(*this, c, &coreHot_[c]));
+    Core& core = cores_.emplace_back(*this, c, &coreHot_[c]);
     if (cfg_.adapter == AdapterKind::kColibri) {
-      cores_[c]->qnode_ = &qnodes_[c];
+      core.qnode_ = &qnodes_[c];
       qnodes_[c].setWakeUpSender(
           [this, c](CoreId successor, bool successorIsMwait, sim::Addr a) {
             MemRequest wake;
@@ -60,8 +74,8 @@ System::System(const SystemConfig& cfg)
     }
     faultPlan_ = std::make_unique<fault::FaultPlan>(fc);
     net_.setFaultPlan(faultPlan_.get());
-    for (auto& b : banks_) {
-      b->setFaultPlan(faultPlan_.get());
+    for (Bank& b : banks_) {
+      b.setFaultPlan(faultPlan_.get());
     }
   }
 
@@ -113,43 +127,43 @@ void System::attachObservability() {
   });
   reg.gauge("core.issuedOps", [this] {
     std::uint64_t n = 0;
-    for (const auto& c : cores_) {
-      n += c->stats().totalIssued();
+    for (const Core& c : cores_) {
+      n += c.stats().totalIssued();
     }
     return static_cast<double>(n);
   });
   reg.gauge("core.sleepCycles", [this] {
     std::uint64_t n = 0;
-    for (const auto& c : cores_) {
-      n += c->stats().sleepCycles;
+    for (const Core& c : cores_) {
+      n += c.stats().sleepCycles;
     }
     return static_cast<double>(n);
   });
   reg.gauge("core.stallCycles", [this] {
     std::uint64_t n = 0;
-    for (const auto& c : cores_) {
-      n += c->stats().stallCycles;
+    for (const Core& c : cores_) {
+      n += c.stats().stallCycles;
     }
     return static_cast<double>(n);
   });
   reg.gauge("bank.requests", [this] {
     std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->stats().requests;
+    for (const Bank& b : banks_) {
+      n += b.stats().requests;
     }
     return static_cast<double>(n);
   });
   reg.gauge("bank.backlogMax", [this] {
     sim::Cycle mx = 0;
-    for (const auto& b : banks_) {
-      mx = std::max(mx, b->backlog());
+    for (const Bank& b : banks_) {
+      mx = std::max(mx, b.backlog());
     }
     return static_cast<double>(mx);
   });
   reg.gauge("bank.backlogMean", [this] {
     double sum = 0;
-    for (const auto& b : banks_) {
-      sum += static_cast<double>(b->backlog());
+    for (const Bank& b : banks_) {
+      sum += static_cast<double>(b.backlog());
     }
     return sum / static_cast<double>(banks_.size());
   });
@@ -167,43 +181,43 @@ void System::attachObservability() {
   });
   reg.gauge("adapter.lrGrants", [this] {
     std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().lrGrants;
+    for (const Bank& b : banks_) {
+      n += b.adapter().stats().lrGrants;
     }
     return static_cast<double>(n);
   });
   reg.gauge("adapter.lrFails", [this] {
     std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().lrFails;
+    for (const Bank& b : banks_) {
+      n += b.adapter().stats().lrFails;
     }
     return static_cast<double>(n);
   });
   reg.gauge("adapter.scSuccesses", [this] {
     std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().scSuccesses;
+    for (const Bank& b : banks_) {
+      n += b.adapter().stats().scSuccesses;
     }
     return static_cast<double>(n);
   });
   reg.gauge("adapter.scFailures", [this] {
     std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().scFailures;
+    for (const Bank& b : banks_) {
+      n += b.adapter().stats().scFailures;
     }
     return static_cast<double>(n);
   });
   reg.gauge("adapter.mwaitWakes", [this] {
     std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().mwaitWakes;
+    for (const Bank& b : banks_) {
+      n += b.adapter().stats().mwaitWakes;
     }
     return static_cast<double>(n);
   });
   reg.gauge("adapter.wakeUpRequests", [this] {
     std::uint64_t n = 0;
-    for (const auto& b : banks_) {
-      n += b->adapter().stats().wakeUpRequests;
+    for (const Bank& b : banks_) {
+      n += b.adapter().stats().wakeUpRequests;
     }
     return static_cast<double>(n);
   });
@@ -277,11 +291,11 @@ void System::attachObservability() {
       faultPlan_->setTracer(tr);
     }
   }
-  for (auto& b : banks_) {
-    b->setObsHooks(obsHooks_.get());
+  for (Bank& b : banks_) {
+    b.setObsHooks(obsHooks_.get());
   }
-  for (auto& c : cores_) {
-    c->hooks_ = obsHooks_.get();
+  for (Core& c : cores_) {
+    c.hooks_ = obsHooks_.get();
   }
 }
 
@@ -310,7 +324,7 @@ void System::enableParallelEngine() {
   portShadow_.resize(cfg_.numBanks());
   for (BankId b = 0; b < cfg_.numBanks(); ++b) {
     shardOfBank_[b] = topo.groupOfTile(topo.tileOfBank(b));
-    banks_[b]->setPortShadow(&portShadow_[b]);
+    banks_[b].setPortShadow(&portShadow_[b]);
   }
   net_.enableShardStats(groups);
   if (faultPlan_ != nullptr) {
@@ -342,18 +356,18 @@ void System::spawn(CoreId c, sim::Task task) {
     // Start-up runs the coroutine to its first suspension; events it
     // schedules must land in the core's shard queue, in program order.
     sim::ParallelDispatch::ShardScope scope(*dispatch_, shardOfCore_[c]);
-    cores_[c]->run(std::move(task));
+    cores_[c].run(std::move(task));
     return;
   }
-  cores_[c]->run(std::move(task));
+  cores_[c].run(std::move(task));
 }
 
-sim::Word System::peek(sim::Addr a) const {
-  return banks_[a % cfg_.numBanks()]->read(a);
-}
+// Through the owning bank, so peek/poke get the same mapping and bounds
+// checks as the adapters' accesses.
+sim::Word System::peek(sim::Addr a) const { return banks_[bankOf(a)].read(a); }
 
 void System::poke(sim::Addr a, sim::Word v) {
-  banks_[a % cfg_.numBanks()]->writeRaw(a, v);
+  banks_[bankOf(a)].writeRaw(a, v);
 }
 
 void System::run() { engine_.run(); }
@@ -365,14 +379,14 @@ void System::at(sim::Cycle when, std::function<void()> fn) {
 }
 
 void System::rethrowFailures() const {
-  for (const auto& core : cores_) {
-    core->rethrowIfFailed();
+  for (const Core& core : cores_) {
+    core.rethrowIfFailed();
   }
 }
 
 bool System::allTasksDone() const {
-  for (const auto& core : cores_) {
-    if (core->task_.valid() && !core->task_.done()) {
+  for (const Core& core : cores_) {
+    if (core.task_.valid() && !core.task_.done()) {
       return false;
     }
   }
@@ -380,8 +394,8 @@ bool System::allTasksDone() const {
 }
 
 void System::injectRequest(CoreId from, const MemRequest& req) {
-  const BankId b = static_cast<BankId>(req.addr % cfg_.numBanks());
-  auto arrive = [this, b, req] { banks_[b]->receive(req); };
+  const BankId b = bankOf(req.addr);
+  auto arrive = [this, b, req] { banks_[b].receive(req); };
   static_assert(sim::InlineEvent::fitsInline<decltype(arrive)>,
                 "request-injection closure must fit the inline event buffer");
 
@@ -415,7 +429,7 @@ sim::Cycle System::resolveRequest(CoreId from, BankId bank, sim::Cycle at) {
   // network stages longer (finite switch buffers; see config.hpp).
   std::uint32_t hold = 1;
   if (cfg_.linkHoldMax > 0) {
-    const sim::Cycle backlog = banks_[bank]->backlogAt(at);
+    const sim::Cycle backlog = banks_[bank].backlogAt(at);
     hold += static_cast<std::uint32_t>(
         backlog > cfg_.linkHoldMax ? cfg_.linkHoldMax : backlog);
   }
@@ -439,11 +453,11 @@ void System::scheduleAtCore(CoreId c, sim::Cycle when, sim::InlineEvent ev) {
 }
 
 void System::resetStats() {
-  for (auto& core : cores_) {
-    core->resetStats();
+  for (Core& core : cores_) {
+    core.resetStats();
   }
-  for (auto& bank : banks_) {
-    bank->resetStats();
+  for (Bank& bank : banks_) {
+    bank.resetStats();
   }
   net_.resetStats();
   if (faultPlan_ != nullptr) {
@@ -466,7 +480,7 @@ std::string System::blameReport(sim::Cycle now) const {
   std::size_t stuck = 0;
   std::size_t shown = 0;
   for (CoreId c = 0; c < cfg_.numCores; ++c) {
-    const Core& core = *cores_[c];
+    const Core& core = cores_[c];
     if (!core.task_.valid() || core.task_.done()) {
       continue;
     }
@@ -478,7 +492,7 @@ std::string System::blameReport(sim::Cycle now) const {
     const CoreHot& h = coreHot_[c];
     os << "  core " << c << ": ";
     if (h.pendingHandle != nullptr) {
-      const BankId b = static_cast<BankId>(h.pendingAddr % cfg_.numBanks());
+      const BankId b = bankOf(h.pendingAddr);
       os << "waiting on " << toString(h.pendingKind) << " to addr "
          << h.pendingAddr << " (bank " << b << ") since cycle "
          << h.pendingSince;
@@ -519,14 +533,14 @@ std::string System::blameReport(sim::Cycle now) const {
   std::sort(blamedBanks.begin(), blamedBanks.end());
   for (const BankId b : blamedBanks) {
     os << "  bank " << b << ": ";
-    banks_[b]->adapter().describeState(os);
+    banks_[b].adapter().describeState(os);
     os << '\n';
   }
   return os.str();
 }
 
 void System::deliverResponse(CoreId c, const MemResponse& r) {
-  cores_[c]->complete(r);
+  cores_[c].complete(r);
 }
 
 void System::deliverSuccessorUpdate(CoreId c, CoreId successor, sim::Addr a,

@@ -5,6 +5,11 @@
 // coroutines and the simulation is driven with run()/runUntil(). Teardown
 // clears the event queue before destroying coroutine frames so no stale
 // event can touch a dead frame.
+//
+// State is stored flat: one SPM word array indexed by address, and banks
+// and cores built in place in fixed-capacity arrays, so no address that an
+// event, adapter or awaiter captured ever moves (docs/ARCHITECTURE.md,
+// "System memory layout").
 #pragma once
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 #include "fault/watchdog.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel.hpp"
+#include "sim/pinned_array.hpp"
 #include "sim/task.hpp"
 
 namespace colibri::obs {
@@ -45,8 +51,8 @@ class System final : public CoreSink, public sim::ParallelDispatch::Hooks {
   [[nodiscard]] Allocator& allocator() { return alloc_; }
   [[nodiscard]] const Topology& topology() const { return net_.topology(); }
 
-  [[nodiscard]] Core& core(CoreId c) { return *cores_[c]; }
-  [[nodiscard]] Bank& bank(BankId b) { return *banks_[b]; }
+  [[nodiscard]] Core& core(CoreId c) { return cores_[c]; }
+  [[nodiscard]] Bank& bank(BankId b) { return banks_[b]; }
   [[nodiscard]] atomics::Qnode& qnode(CoreId c) { return qnodes_[c]; }
   [[nodiscard]] std::uint32_t numCores() const { return cfg_.numCores; }
   [[nodiscard]] std::uint32_t numBanks() const { return cfg_.numBanks(); }
@@ -132,14 +138,21 @@ class System final : public CoreSink, public sim::ParallelDispatch::Hooks {
   /// Register metrics/probes and distribute hook pointers (recorder set).
   void attachObservability();
 
-  SystemConfig cfg_;
+  [[nodiscard]] BankId bankOf(sim::Addr a) const {
+    return alloc_.map().bankOf(a);
+  }
+
+  SystemConfig cfg_;  // validated before any member below divides by it
   sim::Engine engine_;
   Network net_;
   Allocator alloc_;
-  std::vector<std::unique_ptr<Bank>> banks_;
+  // The whole SPM, indexed by address. Declared before the banks that
+  // point into it, so it outlives them.
+  std::vector<sim::Word> spm_;
+  sim::PinnedArray<Bank> banks_;
   std::vector<atomics::Qnode> qnodes_;
   std::vector<CoreHot> coreHot_;  // dense hot state, one slot per core
-  std::vector<std::unique_ptr<Core>> cores_;
+  sim::PinnedArray<Core> cores_;
   // Hook bundle handed to cores/banks/sync; owned here so those raw
   // pointers stay valid for the System's whole lifetime.
   std::unique_ptr<obs::SimHooks> obsHooks_;

@@ -59,8 +59,8 @@ struct CoreStats {
 
 /// Hot per-core pipeline state, structure-of-arrays style: System owns one
 /// contiguous vector of these (one per core) so the dispatch loop touching
-/// many cores per cycle walks a dense array instead of chasing per-Core
-/// heap objects — the Core object itself keeps only cold identity, stats,
+/// many cores per cycle walks a dense array instead of striding over whole
+/// Core objects — the Core object itself keeps only cold identity, stats,
 /// and the task handle.
 struct CoreHot {
   std::coroutine_handle<> pendingHandle{};

@@ -3,13 +3,18 @@
 namespace colibri::sim {
 
 Summary Summary::of(std::span<const double> xs) {
+  std::vector<double> copy(xs.begin(), xs.end());
+  return ofInPlace(copy);
+}
+
+Summary Summary::ofInPlace(std::span<double> xs) {
   Summary s;
   s.count = xs.size();
   if (xs.empty()) {
     return s;
   }
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
+  std::sort(xs.begin(), xs.end());
+  const std::span<const double> sorted = xs;
   s.min = sorted.front();
   s.max = sorted.back();
   double sum = 0.0;

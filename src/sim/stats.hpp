@@ -71,6 +71,8 @@ struct Summary {
   std::size_t count = 0;
 
   static Summary of(std::span<const double> xs);
+  /// Same result as of(xs), but sorts `xs` in place instead of a copy.
+  static Summary ofInPlace(std::span<double> xs);
   static Summary ofCounts(std::span<const std::uint64_t> xs);
 
   /// Linearly interpolated quantile over an *ascending-sorted* sample;

@@ -297,7 +297,7 @@ WgenResult runKernel(arch::System& sys, const WgenParams& p) {
   for (const auto& v : ctx.perCoreLatency) {
     latencies.insert(latencies.end(), v.begin(), v.end());
   }
-  res.opLatency = sim::Summary::of(latencies);
+  res.opLatency = sim::Summary::ofInPlace(latencies);
   return res;
 }
 

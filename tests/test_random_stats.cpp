@@ -1,6 +1,7 @@
 // RNG and statistics unit tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -93,6 +94,22 @@ TEST(Summary, BasicMoments) {
 TEST(Summary, EvenCountMedianAverages) {
   const std::vector<double> xs{1, 2, 3, 10};
   EXPECT_DOUBLE_EQ(Summary::of(xs).median, 2.5);
+}
+
+TEST(Summary, OfInPlaceMatchesOfAndSortsItsInput) {
+  const std::vector<double> xs{5, 1, 4, 2, 3, 9, 7};
+  std::vector<double> buf = xs;
+  const auto a = Summary::of(xs);
+  const auto b = Summary::ofInPlace(buf);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.p95, b.p95);
+  EXPECT_EQ(a.p99, b.p99);
+  EXPECT_TRUE(std::is_sorted(buf.begin(), buf.end()));
 }
 
 TEST(Summary, EmptyIsZeros) {

@@ -220,5 +220,66 @@ TEST(System, PeekPokeBypassSimulation) {
   EXPECT_EQ(sys.now(), 0u);  // no simulated time passed
 }
 
+// The network and the allocator divide by these geometry fields, so the
+// System must validate its config before building either of them: a zero
+// must surface as an InvariantViolation, not as a SIGFPE.
+TEST(System, ZeroCoresPerTileThrows) {
+  auto c = SystemConfig::smallTest();
+  c.coresPerTile = 0;
+  EXPECT_THROW(System{c}, sim::InvariantViolation);
+}
+
+TEST(System, ZeroTilesPerGroupThrows) {
+  auto c = SystemConfig::smallTest();
+  c.tilesPerGroup = 0;
+  EXPECT_THROW(System{c}, sim::InvariantViolation);
+}
+
+TEST(System, PeekPokeFirstAndLastWordOfEveryBank) {
+  System sys(withAdapter(AdapterKind::kColibri));
+  const AddressMap& map = sys.allocator().map();
+  const std::uint64_t lastOffset = sys.config().wordsPerBank - 1;
+  // Distinct nonzero value per word, so a write landing on the wrong word
+  // shows up as a mismatch at both ends.
+  auto value = [](BankId b, bool last) {
+    return static_cast<sim::Word>(1000 + 2 * b + (last ? 1 : 0));
+  };
+  for (BankId b = 0; b < sys.numBanks(); ++b) {
+    sys.poke(map.compose(b, 0), value(b, false));
+    sys.poke(map.compose(b, lastOffset), value(b, true));
+  }
+  for (BankId b = 0; b < sys.numBanks(); ++b) {
+    const sim::Addr first = map.compose(b, 0);
+    const sim::Addr last = map.compose(b, lastOffset);
+    EXPECT_EQ(sys.peek(first), value(b, false)) << "bank " << b;
+    EXPECT_EQ(sys.peek(last), value(b, true)) << "bank " << b;
+    // The owning bank's adapter sees the same word.
+    EXPECT_EQ(sys.bank(b).read(first), value(b, false)) << "bank " << b;
+    EXPECT_EQ(sys.bank(b).read(last), value(b, true)) << "bank " << b;
+  }
+  EXPECT_EQ(sys.peek(map.compose(0, 1)), 0u);  // untouched word stays zero
+}
+
+TEST(System, OutOfRangeAddressThrows) {
+  System sys(withAdapter(AdapterKind::kColibri));
+  const sim::Addr end = sys.config().numWords();
+  EXPECT_NO_THROW((void)sys.peek(end - 1));
+  EXPECT_THROW((void)sys.peek(end), sim::InvariantViolation);
+  EXPECT_THROW(sys.poke(end, 1), sim::InvariantViolation);
+  EXPECT_THROW(sys.poke(end + sys.numBanks() - 1, 1), sim::InvariantViolation);
+}
+
+TEST(System, AdapterAccessToAnotherBanksWordThrows) {
+  System sys(withAdapter(AdapterKind::kColibri));
+  const AddressMap& map = sys.allocator().map();
+  atomics::BankContext& bank0 = sys.bank(0);
+  const sim::Addr foreign = map.compose(1, 0);  // owned by bank 1
+  EXPECT_THROW((void)bank0.read(foreign), sim::InvariantViolation);
+  EXPECT_THROW(bank0.writeRaw(foreign, 5), sim::InvariantViolation);
+  EXPECT_EQ(sys.peek(foreign), 0u);  // the rejected write left no trace
+  EXPECT_NO_THROW(bank0.writeRaw(map.compose(0, 0), 5));
+  EXPECT_EQ(sys.peek(map.compose(0, 0)), 5u);
+}
+
 }  // namespace
 }  // namespace colibri::arch
