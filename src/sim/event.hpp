@@ -8,12 +8,10 @@
 // and falls back to the heap only for oversized callables (test drivers,
 // user callbacks routed through System::at).
 //
-// Heap fallbacks are counted in a process-wide counter (aggregated across
-// the parallel engine's worker threads) so tests can assert that a
-// steady-state simulation performs zero event allocations.
+// Heap fallbacks are counted in a thread-local counter so tests can assert
+// that a steady-state simulation performs zero event allocations.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -96,14 +94,10 @@ class InlineEvent {
     }
   }
 
-  /// Number of heap-fallback constructions process-wide since start.
+  /// Number of heap-fallback constructions on this thread since start.
   /// Test hook: a steady-state simulation must not move this counter.
-  /// A single atomic (not thread-local) so the count stays meaningful when
-  /// the parallel engine constructs events on worker threads; the fallback
-  /// path is cold (oversized driver closures only), so the relaxed
-  /// increment costs nothing on the hot path.
   [[nodiscard]] static std::uint64_t heapFallbackCount() noexcept {
-    return heapFallbacks_.load(std::memory_order_relaxed);
+    return heapFallbacks_;
   }
 
  private:
@@ -163,7 +157,7 @@ class InlineEvent {
       vtable_ = &kInlineVTable<D>;
     } else {
       ::new (static_cast<void*>(buf_)) void*(new D(std::forward<F>(f)));
-      heapFallbacks_.fetch_add(1, std::memory_order_relaxed);
+      ++heapFallbacks_;
       vtable_ = &kHeapVTable<D>;
     }
   }
@@ -180,7 +174,7 @@ class InlineEvent {
     }
   }
 
-  inline static std::atomic<std::uint64_t> heapFallbacks_{0};
+  inline static thread_local std::uint64_t heapFallbacks_ = 0;
 
   alignas(kInlineAlign) std::byte buf_[kInlineSize];
   const VTable* vtable_ = nullptr;

@@ -40,17 +40,14 @@ struct QueueCtx {
   bool stop = false;
   sim::Cycle windowStart = 0;
   sim::Cycle windowEnd = 0;
-  // Per-core counters and logs: under the parallel engine, cores of
-  // different groups run on different host threads, so no two cores may
-  // share a host-side container.
   std::vector<std::uint64_t> perCoreWindow;
-  std::vector<std::uint64_t> perCoreAccesses;
+  std::uint64_t totalAccesses = 0;
   /// (dequeue ticket, value) pairs for post-run FIFO verification.
-  std::vector<std::vector<std::pair<sim::Word, sim::Word>>> dequeueLog;
+  std::vector<std::pair<sim::Word, sim::Word>> dequeueLog;
 };
 
 void countAccess(arch::System& sys, QueueCtx& ctx, sim::CoreId c) {
-  ++ctx.perCoreAccesses[c];
+  ++ctx.totalAccesses;
   const auto now = sys.now();
   if (now >= ctx.windowStart && now < ctx.windowEnd) {
     ++ctx.perCoreWindow[c];
@@ -124,7 +121,7 @@ sim::Task queueWorker(arch::System& sys, arch::Core& core, QueueCtx& ctx) {
                                        &ticket);
     }
     countAccess(sys, ctx, core.id());
-    ctx.dequeueLog[core.id()].emplace_back(ticket, got);
+    ctx.dequeueLog.emplace_back(ticket, got);
   }
 }
 
@@ -132,10 +129,7 @@ bool verifyFifo(const QueueCtx& ctx, std::uint32_t numCores) {
   // Sort dequeues by ticket (the linearization order) and check that each
   // producer's sequence numbers appear strictly increasing. Prefill values
   // use producer id `numCores` (outside any real core).
-  std::vector<std::pair<sim::Word, sim::Word>> log;
-  for (const auto& coreLog : ctx.dequeueLog) {
-    log.insert(log.end(), coreLog.begin(), coreLog.end());
-  }
+  auto log = ctx.dequeueLog;
   std::sort(log.begin(), log.end());
   std::vector<sim::Word> lastSeen(numCores + 1, 0);
   for (const auto& [ticket, value] : log) {
@@ -199,8 +193,6 @@ QueueResult runQueue(arch::System& sys, const QueueParams& p) {
   }
 
   ctx.perCoreWindow.assign(sys.numCores(), 0);
-  ctx.perCoreAccesses.assign(sys.numCores(), 0);
-  ctx.dequeueLog.resize(sys.numCores());
   ctx.windowStart = p.window.warmup;
   ctx.windowEnd = p.window.horizon();
 
@@ -218,9 +210,7 @@ QueueResult runQueue(arch::System& sys, const QueueParams& p) {
   COLIBRI_CHECK_MSG(sys.allTasksDone(), "queue workers failed to drain");
 
   QueueResult res;
-  res.totalAccesses = std::accumulate(ctx.perCoreAccesses.begin(),
-                                      ctx.perCoreAccesses.end(),
-                                      std::uint64_t{0});
+  res.totalAccesses = ctx.totalAccesses;
   res.fifoVerified = verifyFifo(ctx, sys.numCores());
   COLIBRI_CHECK_MSG(res.fifoVerified, "queue FIFO order violated, variant="
                                           << toString(p.variant));

@@ -78,30 +78,6 @@ std::vector<GoldenCase> goldenCases() {
                              "--json", "--reps", "2"});
     cases.push_back({std::string("json__colibri__") + w + ".json", args});
   }
-  // The deterministic parallel engine must reproduce the committed
-  // sequential bytes exactly: re-run a cross-section of scenarios with
-  // --engine-threads 4 against the *same* golden files. The base geometry
-  // has two topology groups, so the parallel dispatcher is genuinely
-  // active (with two workers) in these cases.
-  for (const auto& [a, w] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"colibri", "zipf_hot"},
-           {"colibri", "prodcons"},
-           {"lrsc_single", "histogram"},
-           {"lrscwait", "msqueue"},
-           {"amo", "uniform_fa"}}) {
-    auto args = baseArgs();
-    args.insert(args.end(), {"--adapter", a, "--workload", w, "--csv",
-                             "--engine-threads", "4"});
-    cases.push_back({a + "__" + w + ".csv", args});
-  }
-  {
-    auto args = baseArgs();
-    args.insert(args.end(), {"--adapter", "colibri", "--workload",
-                             "histogram", "--json", "--reps", "2",
-                             "--engine-threads", "4"});
-    cases.push_back({"json__colibri__histogram.json", args});
-  }
   // Litmus: the full fenced matrix, and the unfenced Dekker memory-model
   // probe (which deliberately FAILs its exclusion expectation -> exit 1).
   {

@@ -1,10 +1,11 @@
 // Network model tests: distance latencies, FIFO-per-pair delivery, link
-// contention, statistics.
+// contention, statistics, and the FIFO clamp's memory footprint.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "arch/network.hpp"
+#include "arch/system.hpp"
 #include "sim/engine.hpp"
 
 namespace colibri::arch {
@@ -132,6 +133,40 @@ TEST(Network, CrossTrafficPreservesPerPairOrder) {
     EXPECT_EQ(pairA[static_cast<std::size_t>(i)], i);
     EXPECT_EQ(pairB[static_cast<std::size_t>(i)], i);
   }
+}
+
+sim::Task amoIncrementer(Core& core, sim::Addr a, int iters) {
+  for (int i = 0; i < iters; ++i) {
+    (void)co_await core.amoAdd(a, 1);
+  }
+}
+
+// The 4k-core case: 4096 cores / 16 groups complete under the sparse
+// per-endpoint clamp, whose footprint is O(cores + banks) — the dense
+// per-(core, bank) matrices it replaced would need over 1 GiB at this
+// geometry and are asserted unaffordable, not silently skipped.
+TEST(Network, FourKCoresRunSparseClampWithinMemoryBound) {
+  SystemConfig c;
+  c.numCores = 4096;
+  c.coresPerTile = 4;
+  c.tilesPerGroup = 64;  // 1024 tiles -> 16 groups
+  c.banksPerTile = 16;   // 16384 banks
+  c.wordsPerBank = 64;
+  c.adapter = AdapterKind::kAmoOnly;
+  ASSERT_EQ(c.numGroups(), 16u);
+  // Dense clamp state would be 2 * cores * banks * 8 B = 1 GiB.
+  EXPECT_GE(Network::denseClampBytes(c), std::size_t{512} << 20);
+  System sys(c);
+  // Sparse clamp state: 2 * banks * 3 classes * 8 B, well under 1 MiB.
+  EXPECT_LE(sys.network().clampBytes(), std::size_t{1} << 20);
+  const auto a = sys.allocator().allocGlobal(1);
+  for (sim::CoreId core = 0; core < c.numCores; ++core) {
+    sys.spawn(core, amoIncrementer(sys.core(core), a, 2));
+  }
+  sys.run();
+  sys.rethrowFailures();
+  EXPECT_TRUE(sys.allTasksDone());
+  EXPECT_EQ(sys.peek(a), 4096u * 2u);
 }
 
 }  // namespace

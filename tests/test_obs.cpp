@@ -1,13 +1,10 @@
-// Observability layer: the metric registry's sharded counters, the span
-// tracer's Chrome output, and the end-to-end determinism contract — sink
-// bytes are identical across reruns, SweepRunner thread counts, and
-// --engine-threads values, while stdout stays byte-identical whether or
-// not a sink is attached.
+// Observability layer: the metric registry's counters, the span tracer's
+// Chrome output, and the end-to-end determinism contract — sink bytes are
+// identical across reruns and SweepRunner thread counts, while stdout
+// stays byte-identical whether or not a sink is attached.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,6 +12,7 @@
 
 #include "cli/driver.hpp"
 #include "exp/run.hpp"
+#include "exp/sweep.hpp"
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -25,7 +23,7 @@
 namespace colibri {
 namespace {
 
-TEST(ObsRegistry, CountersAccumulateAndSumAcrossSlots) {
+TEST(ObsRegistry, CountersAccumulate) {
   obs::Registry reg;
   const auto a = reg.counter("a");
   const auto b = reg.counter("b");
@@ -34,14 +32,12 @@ TEST(ObsRegistry, CountersAccumulateAndSumAcrossSlots) {
   EXPECT_EQ(reg.counterTotal(a), 5u);
   EXPECT_EQ(reg.counterTotal(b), 0u);
 
-  // Outside any worker window currentWindowShard() is -1, so adds land in
-  // slot 0 even after the table is sharded — and prior values survive.
-  reg.setShardSlots(4);
+  // Registering later metrics keeps earlier cells intact.
+  const auto h = reg.histogram("h");
   reg.add(b, 7);
   EXPECT_EQ(reg.counterTotal(a), 5u);
   EXPECT_EQ(reg.counterTotal(b), 7u);
-
-  EXPECT_THROW(reg.setShardSlots(2), sim::InvariantViolation);
+  EXPECT_EQ(reg.bucketTotal(h, 0), 0u);
 }
 
 TEST(ObsRegistry, HistogramBucketsAreLog2) {
@@ -126,31 +122,31 @@ exp::RunSpec smallSpec() {
   return spec;
 }
 
-std::string metricsCsvOf(std::uint32_t engineThreads) {
+// One observed run through a SweepRunner of `sweepThreads` workers.
+std::string metricsCsvOf(unsigned sweepThreads) {
   obs::Recorder::Config rc;
   rc.sampleInterval = 250;
   obs::Recorder rec(rc);
   auto spec = smallSpec();
-  spec.config.engineThreads = engineThreads;
   spec.config.recorder = &rec;
-  const auto res = exp::runOne(spec);
-  EXPECT_TRUE(res.verified);
+  exp::SweepRunner runner(sweepThreads);
+  const auto res = runner.run({spec});
+  EXPECT_TRUE(res.front().allVerified);
   std::ostringstream os;
   rec.writeMetricsCsv(os);
   return os.str();
 }
 
-TEST(ObsRecorder, MetricsCsvIsByteIdenticalAcrossRerunsAndEngineThreads) {
+TEST(ObsRecorder, MetricsCsvIsByteIdenticalAcrossRerunsAndSweepThreads) {
   const std::string seq = metricsCsvOf(1);
   EXPECT_NE(seq.find("cycle,"), std::string::npos);
   EXPECT_NE(seq.find("core.issuedOps"), std::string::npos);
   // Diagnostic metrics never reach the byte-compared sink.
   EXPECT_EQ(seq.find("framepool.arenaBytes"), std::string::npos);
-  EXPECT_EQ(seq.find("engine.windows"), std::string::npos);
   EXPECT_GT(std::count(seq.begin(), seq.end(), '\n'), 3);
 
   EXPECT_EQ(metricsCsvOf(1), seq) << "rerun changed sink bytes";
-  EXPECT_EQ(metricsCsvOf(2), seq) << "engine threads changed sink bytes";
+  EXPECT_EQ(metricsCsvOf(4), seq) << "sweep threads changed sink bytes";
 }
 
 TEST(ObsRecorder, SecondRunOnSameRecorderIsRejected) {
@@ -207,22 +203,17 @@ std::string tmpPath(const char* name) {
   return testing::TempDir() + name;
 }
 
-TEST(ObsCli, SinksAreIdenticalAcrossEngineAndSweepThreads) {
-  struct Case {
-    const char* engineThreads;
-    const char* sweepThreads;
-  };
-  const Case cases[] = {{"1", "1"}, {"4", "1"}, {"1", "4"}};
+TEST(ObsCli, SinksAreIdenticalAcrossRerunsAndSweepThreads) {
+  // The first two runs are a rerun pair; the third changes the pool size.
+  const char* const sweepThreads[] = {"1", "1", "4"};
   std::string baseCsv;
   std::string baseTrace;
-  for (const auto& c : cases) {
+  for (const char* threads : sweepThreads) {
     const std::string csv = tmpPath("obs_m.csv");
     const std::string trace = tmpPath("obs_t.json");
     auto args = smallArgs();
-    for (const char* extra :
-         {"--engine-threads", c.engineThreads, "--threads", c.sweepThreads}) {
-      args.emplace_back(extra);
-    }
+    args.emplace_back("--threads");
+    args.emplace_back(threads);
     args.emplace_back("--metrics-csv=" + csv);
     args.emplace_back("--trace=" + trace);
     args.emplace_back("--metrics-interval=250");
@@ -236,12 +227,10 @@ TEST(ObsCli, SinksAreIdenticalAcrossEngineAndSweepThreads) {
       baseTrace = traceBytes;
       continue;
     }
-    EXPECT_EQ(csvBytes, baseCsv)
-        << "metrics CSV differs at engine-threads=" << c.engineThreads
-        << " threads=" << c.sweepThreads;
-    EXPECT_EQ(traceBytes, baseTrace)
-        << "trace differs at engine-threads=" << c.engineThreads
-        << " threads=" << c.sweepThreads;
+    EXPECT_EQ(csvBytes, baseCsv) << "metrics CSV differs at threads="
+                                 << threads;
+    EXPECT_EQ(traceBytes, baseTrace) << "trace differs at threads="
+                                     << threads;
   }
 }
 
@@ -287,29 +276,6 @@ TEST(ObsCli, MetricsSinkAddsTimeseriesBlockToJson) {
   EXPECT_NE(r.out.find("\"samples\""), std::string::npos);
 }
 
-TEST(ObsCli, JsonEngineBlockIsOptInAndObeysBarrierInvariant) {
-  auto args = smallArgs();
-  for (const char* extra : {"--json", "--json-engine", "--engine-threads",
-                            "4"}) {
-    args.emplace_back(extra);
-  }
-  const auto r = runCli(args);
-  ASSERT_EQ(r.rc, 0) << r.err;
-  EXPECT_TRUE(test::isValidJson(r.out));
-  const auto pos = r.out.find("\"engine\"");
-  ASSERT_NE(pos, std::string::npos);
-  auto grab = [&](const char* key) {
-    const auto kpos = r.out.find(key, pos);
-    EXPECT_NE(kpos, std::string::npos) << key;
-    return std::strtoull(r.out.c_str() + kpos + std::strlen(key), nullptr,
-                         10);
-  };
-  const auto windows = grab("\"windows\": ");
-  EXPECT_GT(windows, 0u);
-  EXPECT_EQ(grab("\"barriersTaken\": ") + grab("\"barriersElided\": "),
-            windows);
-}
-
 TEST(ObsCli, StatsRoutesThroughRegistry) {
   auto args = smallArgs();
   args.emplace_back("--stats");
@@ -342,13 +308,6 @@ TEST(ObsCli, SinkFlagMisuseIsRejected) {
     args.emplace_back("--trace=" + tmpPath("obs_rej.json"));
     args.emplace_back("--trace-sample=0");
     EXPECT_EQ(runCli(args).rc, 2);
-  }
-  {
-    auto args = smallArgs();
-    args.emplace_back("--json-engine");
-    const auto r = runCli(args);
-    EXPECT_EQ(r.rc, 2);
-    EXPECT_NE(r.err.find("--json"), std::string::npos) << r.err;
   }
   {
     const auto r = runCli({"--litmus", "dekker",

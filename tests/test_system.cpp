@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "arch/system.hpp"
+#include "sim/framepool.hpp"
 #include "test_util.hpp"
 #include "sync/atomic.hpp"
 
@@ -279,6 +280,35 @@ TEST(System, AdapterAccessToAnotherBanksWordThrows) {
   EXPECT_EQ(sys.peek(foreign), 0u);  // the rejected write left no trace
   EXPECT_NO_THROW(bank0.writeRaw(map.compose(0, 0), 5));
   EXPECT_EQ(sys.peek(map.compose(0, 0)), 5u);
+}
+
+// Frame pool steady state: once a simulation's coroutine frames have been
+// seen, re-running the same workload recycles pooled blocks — the pool
+// serves every frame and the heap-fallback counter does not move.
+TEST(System, FramePoolServesSteadyStateWithoutHeapFallback) {
+  auto runOnce = [] {
+    auto cfg = withAdapter(AdapterKind::kLrscSingle);
+    cfg.numCores = 64;  // 8 groups of 2 tiles
+    System sys(cfg);
+    const auto a = sys.allocator().allocGlobal(1);
+    for (sim::CoreId c = 0; c < cfg.numCores; ++c) {
+      sys.spawn(c, incrementer(sys, sys.core(c), a, 10,
+                               sync::RmwFlavor::kLrsc));
+    }
+    sys.run();
+    sys.rethrowFailures();
+  };
+  runOnce();  // warm the size-class free lists
+  const auto pooledBefore = sim::framepool::pooledFrameCount();
+  const auto heapBefore = sim::framepool::heapFrameCount();
+  const auto arenaBefore = sim::framepool::arenaBytes();
+  runOnce();
+  EXPECT_GT(sim::framepool::pooledFrameCount(), pooledBefore)
+      << "coroutine frames bypassed the pool";
+  EXPECT_EQ(sim::framepool::heapFrameCount(), heapBefore)
+      << "steady-state frame fell back to the system heap";
+  EXPECT_EQ(sim::framepool::arenaBytes(), arenaBefore)
+      << "steady-state re-run grew the arena";
 }
 
 }  // namespace
