@@ -42,9 +42,8 @@ System::System(const SystemConfig& cfg)
     qnodes_.emplace_back(c);
   }
 
-  coreHot_.resize(cfg_.numCores);
   for (CoreId c = 0; c < cfg_.numCores; ++c) {
-    Core& core = cores_.emplace_back(*this, c, &coreHot_[c]);
+    Core& core = cores_.emplace_back(*this, c);
     if (cfg_.adapter == AdapterKind::kColibri) {
       core.qnode_ = &qnodes_[c];
       qnodes_[c].setWakeUpSender(
@@ -82,8 +81,8 @@ System::System(const SystemConfig& cfg)
     fault::Watchdog::Hooks hooks;
     hooks.lastProgress = [this] {
       sim::Cycle last = 0;
-      for (const CoreHot& h : coreHot_) {
-        last = std::max(last, h.lastProductive);
+      for (const Core& core : cores_) {
+        last = std::max(last, core.lastProductive_);
       }
       return last;
     };
@@ -216,7 +215,7 @@ void System::attachObservability() {
     }
     return static_cast<double>(n);
   });
-  // Coroutine-frame residency since the run began; the pooled/heap split
+  // Coroutine frames allocated since the run began; the pooled/heap split
   // below is allocator detail, so only the sum is deterministic.
   reg.gauge("framepool.frames", [rec] {
     return static_cast<double>(sim::framepool::pooledFrameCount() +
@@ -230,10 +229,6 @@ void System::attachObservability() {
   reg.gauge(
       "framepool.heapFrames",
       [] { return static_cast<double>(sim::framepool::heapFrameCount()); },
-      MC::kDiagnostic);
-  reg.gauge(
-      "framepool.arenaBytes",
-      [] { return static_cast<double>(sim::framepool::arenaBytes()); },
       MC::kDiagnostic);
 
   if (faultPlan_ != nullptr) {
@@ -353,8 +348,8 @@ std::string System::blameReport(sim::Cycle now) const {
   constexpr std::size_t kMaxBlamedCores = 16;
   std::ostringstream os;
   sim::Cycle lastAny = 0;
-  for (const CoreHot& h : coreHot_) {
-    lastAny = std::max(lastAny, h.lastProductive);
+  for (const Core& core : cores_) {
+    lastAny = std::max(lastAny, core.lastProductive_);
   }
   os << "blame report at cycle " << now << " (adapter "
      << toString(cfg_.adapter) << ", last productive retirement system-wide at "
@@ -373,13 +368,12 @@ std::string System::blameReport(sim::Cycle now) const {
       continue;  // keep counting, stop printing
     }
     ++shown;
-    const CoreHot& h = coreHot_[c];
     os << "  core " << c << ": ";
-    if (h.pendingHandle != nullptr) {
-      const BankId b = bankOf(h.pendingAddr);
-      os << "waiting on " << toString(h.pendingKind) << " to addr "
-         << h.pendingAddr << " (bank " << b << ") since cycle "
-         << h.pendingSince;
+    if (core.pendingHandle_ != nullptr) {
+      const BankId b = bankOf(core.pendingAddr_);
+      os << "waiting on " << toString(core.pendingKind_) << " to addr "
+         << core.pendingAddr_ << " (bank " << b << ") since cycle "
+         << core.pendingSince_;
       if (std::find(blamedBanks.begin(), blamedBanks.end(), b) ==
           blamedBanks.end()) {
         blamedBanks.push_back(b);
@@ -387,7 +381,7 @@ std::string System::blameReport(sim::Cycle now) const {
     } else {
       os << "no outstanding request";
     }
-    os << ", last productive retirement at " << h.lastProductive;
+    os << ", last productive retirement at " << core.lastProductive_;
     if (cfg_.adapter == AdapterKind::kColibri) {
       const atomics::Qnode& q = qnodes_[c];
       os << ", qnode ";

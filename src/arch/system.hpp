@@ -134,7 +134,6 @@ class System final : public CoreSink {
   std::vector<sim::Word> spm_;
   sim::PinnedArray<Bank> banks_;
   std::vector<atomics::Qnode> qnodes_;
-  std::vector<CoreHot> coreHot_;  // dense hot state, one slot per core
   sim::PinnedArray<Core> cores_;
   // Hook bundle handed to cores/banks/sync; owned here so those raw
   // pointers stay valid for the System's whole lifetime.

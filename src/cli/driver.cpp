@@ -18,7 +18,6 @@
 #include "litmus/harness.hpp"
 #include "report/table.hpp"
 #include "sim/check.hpp"
-#include "sim/framepool.hpp"
 #include "wgen/presets.hpp"
 
 namespace colibri::cli {
@@ -203,12 +202,8 @@ std::optional<exp::RunSpec> buildSpec(const Options& opts,
     p.kernel = preset->spec;
     p.backoff = backoff;
     for (auto& region : p.kernel.regions) {
-      if (opts.zipfTheta >= 0.0) {
-        region.zipfTheta = opts.zipfTheta;
-      }
-      if (opts.hotFraction >= 0.0) {
-        region.hotFraction = opts.hotFraction;
-      }
+      region.zipfTheta = opts.zipfTheta.value_or(region.zipfTheta);
+      region.hotFraction = opts.hotFraction.value_or(region.hotFraction);
       if (opts.wgenWords != 0 && region.dist != wgen::AddrDist::kStrided) {
         region.range = opts.wgenWords;
       }
@@ -699,8 +694,16 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     err << "colibri-sim: --reps must be >= 1\n";
     return 2;
   }
-  if (opts.hotFraction > 1.0) {
-    err << "colibri-sim: --hot-fraction must be <= 1\n";
+  // Written so NaN fails both checks as well.
+  if (opts.zipfTheta && !(*opts.zipfTheta >= 0.0)) {
+    err << "colibri-sim: --zipf-theta must be >= 0 (got " << *opts.zipfTheta
+        << ")\n";
+    return 2;
+  }
+  if (opts.hotFraction &&
+      !(*opts.hotFraction >= 0.0 && *opts.hotFraction <= 1.0)) {
+    err << "colibri-sim: --hot-fraction must be in [0, 1] (got "
+        << *opts.hotFraction << ")\n";
     return 2;
   }
   if (opts.csv && opts.json) {
@@ -798,9 +801,6 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
     if (opts.stats) {
       // stderr keeps stdout byte-identical with and without --stats, so
       // the golden corpus and the rerun/--threads CI byte gates stay valid.
-      err << "frame-pool: pooled=" << sim::framepool::pooledFrameCount()
-          << " heap=" << sim::framepool::heapFrameCount()
-          << " arena-bytes=" << sim::framepool::arenaBytes() << "\n";
       if (res.primary().faultSeed != 0) {
         const auto& fc = res.primary().faultCounters;
         err << "fault: seed=" << res.primary().faultSeed

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <functional>
 #include <map>
+#include <optional>
 #include <ostream>
 
 namespace colibri::cli {
@@ -26,6 +27,17 @@ template <typename T>
 Flag numberFlag(const char* help, T Options::* member) {
   return Flag{help, true, [member](Options& o, const std::string& v) {
                 return parseNumber(v, o.*member);
+              }};
+}
+
+Flag numberFlag(const char* help, std::optional<double> Options::* member) {
+  return Flag{help, true, [member](Options& o, const std::string& v) {
+                double x = 0.0;
+                if (!parseNumber(v, x)) {
+                  return false;
+                }
+                o.*member = x;
+                return true;
               }};
 }
 
@@ -175,8 +187,8 @@ const std::map<std::string, Flag>& flagTable() {
       {"--threads",
        numberFlag("sweep worker threads; 0 = all hardware threads",
                   &Options::threads)},
-      {"--stats", boolFlag("print frame-pool, fault and metric counters "
-                           "to stderr after the run",
+      {"--stats", boolFlag("print the fault seed and counters and every "
+                           "registry metric to stderr after the run",
                            &Options::stats)},
       {"--metrics-csv",
        stringFlag("write interval metric samples (simulated-cycle "

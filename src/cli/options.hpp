@@ -51,10 +51,10 @@ struct Options {
   std::uint32_t csCycles = 8;       ///< lockfair critical-section cycles
 
   // --- Workload-generator (wgen preset) overrides --------------------------
-  /// Zipf skew θ for zipfian regions; negative = keep the preset value.
-  double zipfTheta = -1.0;
-  /// Hot-word probability for hotspot regions; negative = preset value.
-  double hotFraction = -1.0;
+  /// Zipf skew θ for zipfian regions; unset = keep the preset value.
+  std::optional<double> zipfTheta;
+  /// Hot-word probability for hotspot regions; unset = preset value.
+  std::optional<double> hotFraction;
   /// Region word count for non-strided regions; 0 = preset value.
   std::uint32_t wgenWords = 0;
 
@@ -119,9 +119,9 @@ struct Options {
   // --- Output / control ---------------------------------------------------
   bool csv = false;
   bool json = false;
-  /// Print frame-pool usage, fault counts and every registry metric to
-  /// stderr after the run. Machine outputs (csv/json/stdout) are
-  /// untouched.
+  /// Print the fault seed and counts and every registry metric (frame
+  /// counts included) to stderr after the run. Machine outputs
+  /// (csv/json/stdout) are untouched.
   bool stats = false;
   bool listScenarios = false;
   bool help = false;

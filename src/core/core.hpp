@@ -57,29 +57,9 @@ struct CoreStats {
   void reset() { *this = CoreStats{}; }
 };
 
-/// Hot per-core pipeline state, structure-of-arrays style: System owns one
-/// contiguous vector of these (one per core) so the dispatch loop touching
-/// many cores per cycle walks a dense array instead of striding over whole
-/// Core objects — the Core object itself keeps only cold identity, stats,
-/// and the task handle.
-struct CoreHot {
-  std::coroutine_handle<> pendingHandle{};
-  MemResponse* pendingOut = nullptr;
-  Cycle pendingSince = 0;
-  Cycle lastIssue = 0;
-  /// Last cycle this core retired a *productive* operation: anything but a
-  /// reservation acquire (LR/LRwait) or a failed SC/SCwait. A core spinning
-  /// in an acquire-fail-retry loop never advances this — exactly the signal
-  /// the watchdog needs to tell livelock/deadlock from slow progress.
-  Cycle lastProductive = 0;
-  sim::Addr pendingAddr = 0;
-  OpKind pendingKind = OpKind::kLoad;
-  bool hasIssued = false;
-};
-
 class Core {
  public:
-  Core(System& sys, CoreId id, CoreHot* hot);
+  Core(System& sys, CoreId id);
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
 
@@ -135,7 +115,7 @@ class Core {
   void rethrowIfFailed() const { task_.rethrowIfFailed(); }
   [[nodiscard]] bool taskDone() const { return task_.done(); }
   [[nodiscard]] bool hasOutstandingOp() const {
-    return hot_->pendingHandle != nullptr;
+    return pendingHandle_ != nullptr;
   }
 
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
@@ -158,8 +138,21 @@ class Core {
   CoreId id_;
   TileId tile_;
   atomics::Qnode* qnode_ = nullptr;  // set by System when Colibri is active
-  CoreHot* hot_;                     // slot in System's dense hot-state array
   const obs::SimHooks* hooks_ = nullptr;  // set by System with a recorder
+
+  // Issue bookkeeping and the single outstanding operation.
+  std::coroutine_handle<> pendingHandle_{};
+  MemResponse* pendingOut_ = nullptr;
+  Cycle pendingSince_ = 0;
+  Cycle lastIssue_ = 0;
+  /// Last cycle this core retired a *productive* operation: anything but a
+  /// reservation acquire (LR/LRwait) or a failed SC/SCwait. A core spinning
+  /// in an acquire-fail-retry loop never advances this — exactly the signal
+  /// the watchdog needs to tell livelock/deadlock from slow progress.
+  Cycle lastProductive_ = 0;
+  sim::Addr pendingAddr_ = 0;
+  OpKind pendingKind_ = OpKind::kLoad;
+  bool hasIssued_ = false;
 
   sim::Task task_;
   CoreStats stats_;

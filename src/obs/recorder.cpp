@@ -45,7 +45,6 @@ void Recorder::beginRun() {
   COLIBRI_CHECK_MSG(!runBegun_, "a Recorder records exactly one run");
   runBegun_ = true;
   frameBase_ = sim::framepool::pooledFrameCount() + sim::framepool::heapFrameCount();
-  arenaBase_ = sim::framepool::arenaBytes();
 }
 
 void Recorder::attachSystem() {

@@ -49,7 +49,7 @@ class Recorder {
   }
 
   // --- Run plumbing -------------------------------------------------------
-  /// Capture process-wide baselines (frame pool) before the System exists.
+  /// Capture process-wide baselines (frame counts) before the System exists.
   void beginRun();
   /// Called by the System under construction; a Recorder records one run.
   void attachSystem();
@@ -62,7 +62,6 @@ class Recorder {
 
   [[nodiscard]] bool sampledAnything() const { return !samples_.empty(); }
   [[nodiscard]] std::uint64_t frameBaseline() const { return frameBase_; }
-  [[nodiscard]] std::uint64_t arenaBaseline() const { return arenaBase_; }
 
   // --- Sinks ---------------------------------------------------------------
   /// Deterministic metrics as CSV: `cycle,<name>,...`, cumulative values.
@@ -89,7 +88,6 @@ class Recorder {
   bool runBegun_ = false;
   bool finalized_ = false;
   std::uint64_t frameBase_ = 0;
-  std::uint64_t arenaBase_ = 0;
   std::vector<Row> samples_;
 };
 

@@ -31,9 +31,9 @@ struct CoPromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 
-  // Coroutine frames come from the frame pool instead of the heap: a lock
-  // acquire awaits several Co frames per attempt, and on the default
-  // allocator that was one malloc/free each on the per-op hot path.
+  // Coroutine frames come from the per-thread frame cache: a lock acquire
+  // awaits several Co frames per attempt, and on the default allocator
+  // that was one malloc/free each on the per-op hot path.
   static void* operator new(std::size_t n) { return framepool::allocate(n); }
   static void operator delete(void* p) noexcept { framepool::release(p); }
 

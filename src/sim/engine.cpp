@@ -50,11 +50,4 @@ std::size_t Engine::step(std::size_t n) {
   return ran;
 }
 
-void Engine::advanceTo(Cycle when) {
-  COLIBRI_CHECK(when >= now_);
-  COLIBRI_CHECK_MSG(queue_.minWhen() >= when,
-                    "advanceTo would skip a pending event");
-  now_ = when;
-}
-
 }  // namespace colibri::sim

@@ -105,10 +105,6 @@ class Engine {
   [[nodiscard]] std::size_t pendingEvents() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t executedEvents() const { return executed_; }
 
-  /// Advance now() to `when` without running anything (only legal when no
-  /// earlier event is pending). Lets drivers account for idle gaps.
-  void advanceTo(Cycle when);
-
   /// Record every dispatched event's (when, seq) into `trace` (nullptr to
   /// stop). Test hook for order-equivalence checks; adds one predictable
   /// branch to dispatch when unset.

@@ -49,14 +49,11 @@ class EventQueue {
   template <typename F>
   void schedule(Cycle when, F&& f);
 
-  /// Remove the earliest event (by (when, seq)) if its cycle is <= horizon;
-  /// fills `when`/`ev` and returns true, else returns false.
-  bool popIfAtMost(Cycle horizon, Cycle& when, InlineEvent& ev);
-
-  /// Like popIfAtMost, but runs the event in place inside its (already
-  /// unlinked) node via `fn(when, seq, ev)` — the dispatch path pays no
-  /// event move. The node returns to the free-list even if the callable
-  /// throws.
+  /// Remove the earliest event (by (when, seq)) if its cycle is <= horizon
+  /// and run it in place inside its (already unlinked) node via
+  /// `fn(when, seq, ev)` — the dispatch path pays no event move. Returns
+  /// false if no event was due. The node returns to the free-list even if
+  /// the callable throws.
   template <typename F>
   bool runEarliestIfAtMost(Cycle horizon, F&& fn);
 
@@ -279,18 +276,6 @@ inline EventQueue::Node* EventQueue::takeEarliest(Cycle horizon) {
   cursor_ = n->when;  // everything earlier has been dispatched
   --size_;
   return n;
-}
-
-inline bool EventQueue::popIfAtMost(Cycle horizon, Cycle& when,
-                                    InlineEvent& ev) {
-  Node* n = takeEarliest(horizon);
-  if (n == nullptr) {
-    return false;
-  }
-  when = n->when;
-  ev = std::move(n->ev);
-  freeNode(n);
-  return true;
 }
 
 template <typename F>

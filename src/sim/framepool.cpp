@@ -1,11 +1,7 @@
 #include "sim/framepool.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <new>
-#include <vector>
 
 #include "sim/check.hpp"
 
@@ -16,12 +12,11 @@ namespace {
 // Size classes cover the frames the simulator actually creates: Co<T>
 // frames are small (~100-300 B), workload Task frames run larger (locals
 // plus captured parameters). Anything beyond the largest class is rare
-// enough to take the system heap.
+// enough to take the system heap on every allocation.
 constexpr std::size_t kClassSizes[] = {64,  128,  192,  256,
                                        512, 1024, 2048, 4096};
 constexpr std::size_t kNumClasses = sizeof(kClassSizes) / sizeof(std::size_t);
 constexpr std::size_t kHeaderSize = 16;
-constexpr std::size_t kChunkBlocks = 64;  // blocks added per refill
 
 // The 16-byte block header: (cls, magic) in the first 8 bytes, the
 // free-list link in the second 8 — so the magic survives a block's trip
@@ -29,8 +24,8 @@ constexpr std::size_t kChunkBlocks = 64;  // blocks added per refill
 // (magic == kFreedMagic) from a foreign pointer (anything else).
 struct Header {
   std::uint32_t cls;    // size class index, or kHeapClass
-  std::uint32_t magic;  // kMagic while live, kFreedMagic while pooled
-  Header* next;         // free-list link (meaningful only while pooled)
+  std::uint32_t magic;  // kMagic while live, kFreedMagic while cached
+  Header* next;         // free-list link (meaningful only while cached)
 };
 static_assert(sizeof(Header) == 16);
 constexpr std::uint32_t kHeapClass = 0xFFFFFFFFu;
@@ -48,101 +43,49 @@ std::uint32_t classFor(std::size_t size) {
 
 std::atomic<std::uint64_t> pooledCount{0};
 std::atomic<std::uint64_t> heapCount{0};
-std::atomic<std::uint64_t> arenaTotal{0};
 
-/// One thread's segregated free lists. Subpools are registered with the
-/// arena on first use and parked (not destroyed) at thread exit, so a
-/// later worker thread can adopt the lists — chunk memory is recycled for
-/// the life of the process and blocks may be freed by a different thread
-/// than the one that allocated them.
-struct SubPool {
+/// One thread's free lists, one per size class. Every block is a plain
+/// `::operator new` allocation, so a block may be released on any thread
+/// and the destructor can hand whatever its lists hold back to the heap.
+struct Cache {
   Header* freeLists[kNumClasses] = {};
-  std::vector<std::unique_ptr<std::byte[]>> chunks;
-  bool inUse = false;
+  ~Cache();
+};
 
-  void refill(std::uint32_t cls) {
-    const std::size_t block = kHeaderSize + kClassSizes[cls];
-    const std::size_t bytes = block * kChunkBlocks;
-    auto chunk = std::make_unique<std::byte[]>(bytes);
-    std::byte* base = chunk.get();
-    for (std::size_t i = 0; i < kChunkBlocks; ++i) {
-      auto* h = reinterpret_cast<Header*>(base + i * block);
-      h->cls = cls;
-      h->magic = kFreedMagic;
-      h->next = freeLists[cls];
-      freeLists[cls] = h;
+// Trivially destructible, so it stays readable after the Cache below is
+// gone: frames released later in this thread's teardown skip the cache.
+thread_local bool cacheDrained = false;
+thread_local Cache cache;
+
+Cache::~Cache() {
+  for (Header*& list : freeLists) {
+    while (list != nullptr) {
+      Header* h = list;
+      list = h->next;
+      ::operator delete(h);
     }
-    chunks.push_back(std::move(chunk));
-    arenaTotal.fetch_add(bytes, std::memory_order_relaxed);
   }
-};
-
-struct Arena {
-  std::mutex mu;
-  std::vector<std::unique_ptr<SubPool>> pools;
-
-  SubPool* acquire() {
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto& p : pools) {
-      if (!p->inUse) {
-        p->inUse = true;
-        return p.get();
-      }
-    }
-    pools.push_back(std::make_unique<SubPool>());
-    pools.back()->inUse = true;
-    return pools.back().get();
-  }
-
-  void park(SubPool* p) {
-    std::lock_guard<std::mutex> lock(mu);
-    p->inUse = false;
-  }
-};
-
-Arena& arena() {
-  // Leaked deliberately: frames can outlive any scope shorter than the
-  // process (static System instances, thread teardown order), so the
-  // arena must never be destroyed.
-  static Arena* a = new Arena();
-  return *a;
-}
-
-/// RAII thread registration: binds a subpool to the current thread on
-/// first frame allocation and parks it (lists intact) at thread exit.
-struct ThreadPool {
-  SubPool* pool = nullptr;
-  ThreadPool() : pool(arena().acquire()) {}
-  ~ThreadPool() { arena().park(pool); }
-};
-
-SubPool& threadPool() {
-  thread_local ThreadPool tp;
-  return *tp.pool;
+  cacheDrained = true;
 }
 
 }  // namespace
 
 void* allocate(std::size_t size) {
   const std::uint32_t cls = classFor(size);
-  if (cls == kHeapClass) {
-    auto* raw = static_cast<std::byte*>(::operator new(kHeaderSize + size));
-    auto* h = reinterpret_cast<Header*>(raw);
-    h->cls = kHeapClass;
+  if (cls != kHeapClass && !cacheDrained && cache.freeLists[cls] != nullptr) {
+    Header* h = cache.freeLists[cls];
+    cache.freeLists[cls] = h->next;
     h->magic = kMagic;
-    heapCount.fetch_add(1, std::memory_order_relaxed);
-    return raw + kHeaderSize;
+    pooledCount.fetch_add(1, std::memory_order_relaxed);
+    return reinterpret_cast<std::byte*>(h) + kHeaderSize;
   }
-  SubPool& sp = threadPool();
-  if (sp.freeLists[cls] == nullptr) {
-    sp.refill(cls);
-  }
-  Header* h = sp.freeLists[cls];
-  sp.freeLists[cls] = h->next;
+  const std::size_t bytes = cls == kHeapClass ? size : kClassSizes[cls];
+  auto* raw = static_cast<std::byte*>(::operator new(kHeaderSize + bytes));
+  auto* h = reinterpret_cast<Header*>(raw);
   h->cls = cls;
   h->magic = kMagic;
-  pooledCount.fetch_add(1, std::memory_order_relaxed);
-  return reinterpret_cast<std::byte*>(h) + kHeaderSize;
+  heapCount.fetch_add(1, std::memory_order_relaxed);
+  return raw + kHeaderSize;
 }
 
 void release(void* p) noexcept {
@@ -156,18 +99,15 @@ void release(void* p) noexcept {
                         << (h->magic == kFreedMagic ? "an already-freed block"
                                                     : "a foreign pointer")
                         << " (p=" << p << ")");
-  if (h->cls == kHeapClass) {
+  if (h->cls == kHeapClass || cacheDrained) {
     ::operator delete(raw);
     return;
   }
-  // Freed blocks go to the *freeing* thread's list: chunk memory belongs
-  // to the process-wide arena, so adoption across threads is safe, and
-  // the common case (frame created and destroyed on one worker) stays
-  // contention-free.
-  SubPool& sp = threadPool();
+  // The block joins the *releasing* thread's list: the common case (frame
+  // created and destroyed on one SweepRunner worker) stays thread-local.
   h->magic = kFreedMagic;
-  h->next = sp.freeLists[h->cls];
-  sp.freeLists[h->cls] = h;
+  h->next = cache.freeLists[h->cls];
+  cache.freeLists[h->cls] = h;
 }
 
 std::uint64_t pooledFrameCount() noexcept {
@@ -176,10 +116,6 @@ std::uint64_t pooledFrameCount() noexcept {
 
 std::uint64_t heapFrameCount() noexcept {
   return heapCount.load(std::memory_order_relaxed);
-}
-
-std::uint64_t arenaBytes() noexcept {
-  return arenaTotal.load(std::memory_order_relaxed);
 }
 
 }  // namespace colibri::sim::framepool

@@ -1,20 +1,17 @@
-// Pooled storage for coroutine frames (sim::Task and sim::Co promises).
+// Per-thread cache of coroutine frames (sim::Task and sim::Co promises).
 //
 // Every simulated core lives in a coroutine frame, and every awaited
-// synchronization primitive (sim::Co) allocates another one — on the
-// default allocator that is one malloc/free per lock acquire per core,
-// the dominant allocator traffic of a big run. FramePool is a size-class
-// segregated-fit arena in the spirit of the calendar queue's node pool:
-// blocks come from per-thread subpools (so exp::SweepRunner's workers
-// never contend) refilled in chunks, and a freed block goes back onto the
-// freeing thread's list, ready for the next frame of the same class.
+// synchronization primitive (sim::Co) allocates another one, so frame
+// allocation runs on every lock acquire of every core. Each thread keeps
+// one free list per size class over the system heap: a miss (or an
+// oversized frame) is one `::operator new`, and a released block goes onto
+// the releasing thread's list, ready for the next frame of its class. A
+// thread's lists go back to the heap when the thread exits. Nothing is
+// shared between threads except the two relaxed counters below.
 //
 // Blocks carry a 16-byte header recording their size class (or that they
-// came from the system heap, for oversized frames), so release() needs no
-// external lookup. Chunk memory is owned
-// by the process-wide arena and recycled for the life of the process —
-// a steady-state simulation allocates no frame memory from the heap, which
-// the `heapFrameCount()` test hook asserts.
+// are oversized), so release() needs no external lookup and can reject a
+// double free or a foreign pointer.
 #pragma once
 
 #include <cstddef>
@@ -31,16 +28,14 @@ namespace framepool {
 /// Return a block obtained from allocate().
 void release(void* p) noexcept;
 
-/// Number of frame allocations served by the pool since process start.
+/// Number of frame allocations served from a thread's cache since process
+/// start.
 [[nodiscard]] std::uint64_t pooledFrameCount() noexcept;
 
-/// Number of frame allocations that fell back to the system heap
-/// (oversized frames only). Test hook: a steady-state simulation must not
-/// move this counter.
+/// Number of frame allocations taken from the system heap: cache misses
+/// plus oversized frames. Test hook: re-running a simulation on the same
+/// thread must not move this counter.
 [[nodiscard]] std::uint64_t heapFrameCount() noexcept;
-
-/// Bytes of chunk memory currently owned by the arena (all threads).
-[[nodiscard]] std::uint64_t arenaBytes() noexcept;
 
 }  // namespace framepool
 

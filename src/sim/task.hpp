@@ -26,8 +26,9 @@ namespace colibri::sim {
 class Task {
  public:
   struct promise_type {
-    /// Task frames live in the frame pool (size-class free lists) so that
-    /// spawning a thousand cores costs no per-frame heap traffic.
+    /// Task frames come from the per-thread frame cache (size-class free
+    /// lists), so re-spawning a thousand cores reuses the blocks the last
+    /// System's tasks released.
     static void* operator new(std::size_t n) { return framepool::allocate(n); }
     static void operator delete(void* p) noexcept { framepool::release(p); }
 

@@ -158,13 +158,14 @@ TEST(CliDriver, StatsFlagPrintsCountersToStderrOnly) {
   // stdout is byte-identical with and without --stats (golden-corpus and
   // CI byte gates depend on this).
   EXPECT_EQ(statsOut, quietOut);
-  EXPECT_NE(statsErr.find("frame-pool:"), std::string::npos) << statsErr;
-  // --stats also routes the metric registry to stderr: deterministic and
-  // diagnostic metrics alike, as `obs: name = value` lines.
+  // --stats routes the metric registry to stderr: deterministic and
+  // diagnostic metrics alike, as `obs: name = value` lines. The frame
+  // counters appear there and nowhere else on stderr.
   EXPECT_NE(statsErr.find("obs: core.issuedOps = "), std::string::npos)
       << statsErr;
-  EXPECT_NE(statsErr.find("obs: framepool.arenaBytes = "), std::string::npos)
+  EXPECT_NE(statsErr.find("obs: framepool.heapFrames = "), std::string::npos)
       << statsErr;
+  EXPECT_EQ(statsErr.find("frame-pool:"), std::string::npos) << statsErr;
 }
 
 TEST(CliDriver, UnknownFlagExitsNonzeroViaMain) {
@@ -347,6 +348,27 @@ TEST(CliWgen, HotFractionAboveOneIsAUsableError) {
             2);
   EXPECT_NE(err.str().find("--hot-fraction"), std::string::npos)
       << err.str();
+}
+
+// Negative and NaN overrides are usage errors, never a silent run with
+// the preset value.
+TEST(CliWgen, NegativeOrNanOverridesAreUsableErrors) {
+  const struct {
+    const char* workload;
+    const char* flag;
+    const char* value;
+  } cases[] = {{"hotspot1", "--hot-fraction", "-0.5"},
+               {"hotspot1", "--hot-fraction", "nan"},
+               {"zipf_hot", "--zipf-theta", "-2"},
+               {"zipf_hot", "--zipf-theta", "nan"}};
+  for (const auto& c : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(runMain(smallRun({"--workload", c.workload, c.flag, c.value}),
+                      out, err),
+              2)
+        << c.flag << " " << c.value;
+    EXPECT_NE(err.str().find(c.flag), std::string::npos) << err.str();
+  }
 }
 
 TEST(CliWgen, JsonRunCarriesTheLatencyBlock) {

@@ -103,18 +103,6 @@ TEST(Engine, ClearDropsPendingWithoutRunning) {
   EXPECT_TRUE(e.empty());
 }
 
-TEST(Engine, AdvanceToMovesIdleClock) {
-  Engine e;
-  e.advanceTo(42);
-  EXPECT_EQ(e.now(), 42u);
-}
-
-TEST(Engine, AdvanceToRefusesToSkipEvents) {
-  Engine e;
-  e.scheduleAt(10, [] {});
-  EXPECT_THROW(e.advanceTo(11), InvariantViolation);
-}
-
 TEST(Engine, CountsExecutedEvents) {
   Engine e;
   for (int i = 0; i < 7; ++i) {

@@ -169,14 +169,16 @@ TEST(EventQueue, SteadyStateSchedulingReusesPooledNodes) {
   EventQueue q;
   const auto heapBefore = InlineEvent::heapFallbackCount();
   std::uint64_t fired = 0;
-  Cycle when = 0;
-  InlineEvent ev;
   q.schedule(0, [&fired] { ++fired; });
   const std::size_t allocatedAfterFirst = q.allocatedNodes();
   for (int i = 0; i < 10000; ++i) {
-    ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-    ev();
-    q.schedule(when + 1, [&fired] { ++fired; });
+    // The event reschedules its successor from inside its own dispatch,
+    // while its node is unlinked but not yet back on the free-list.
+    ASSERT_TRUE(q.runEarliestIfAtMost(
+        kCycleNever, [&](Cycle when, std::uint64_t, InlineEvent& ev) {
+          ev();
+          q.schedule(when + 1, [&fired] { ++fired; });
+        }));
   }
   EXPECT_EQ(q.allocatedNodes(), allocatedAfterFirst);  // free-list reuse
   EXPECT_EQ(InlineEvent::heapFallbackCount(), heapBefore);
@@ -192,20 +194,22 @@ TEST(EventQueue, FarFutureEventsParkInTheOverflowHeap) {
   EXPECT_EQ(q.overflowSize(), 2u);
 
   Cycle when = 0;
-  InlineEvent ev;
-  ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-  ev();  // the bucket event at 10
-  ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-  ev();  // overflow event at 1500; window is now [1500, 1500+N)
+  auto runNext = [&q, &when] {
+    return q.runEarliestIfAtMost(
+        kCycleNever, [&when](Cycle w, std::uint64_t, InlineEvent& ev) {
+          when = w;
+          ev();
+        });
+  };
+  ASSERT_TRUE(runNext());  // the bucket event at 10
+  ASSERT_TRUE(runNext());  // overflow event at 1500; window [1500, 1500+N)
   EXPECT_EQ(when, 1500u);
 
   // 2000 now lies inside the bucket window: a new event at the same cycle
   // must still run after the older overflow entry (seq tie-break).
   q.schedule(2000, [&order] { order.push_back(2); });
-  ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-  ev();
-  ASSERT_TRUE(q.popIfAtMost(kCycleNever, when, ev));
-  ev();
+  ASSERT_TRUE(runNext());
+  ASSERT_TRUE(runNext());
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
   EXPECT_TRUE(q.empty());
 }

@@ -142,7 +142,7 @@ TEST(ObsRecorder, MetricsCsvIsByteIdenticalAcrossRerunsAndSweepThreads) {
   EXPECT_NE(seq.find("cycle,"), std::string::npos);
   EXPECT_NE(seq.find("core.issuedOps"), std::string::npos);
   // Diagnostic metrics never reach the byte-compared sink.
-  EXPECT_EQ(seq.find("framepool.arenaBytes"), std::string::npos);
+  EXPECT_EQ(seq.find("framepool.heapFrames"), std::string::npos);
   EXPECT_GT(std::count(seq.begin(), seq.end(), '\n'), 3);
 
   EXPECT_EQ(metricsCsvOf(1), seq) << "rerun changed sink bytes";
@@ -286,7 +286,7 @@ TEST(ObsCli, StatsRoutesThroughRegistry) {
   EXPECT_NE(r.err.find("obs: core.opLatency["), std::string::npos) << r.err;
   // Diagnostic metrics do appear on stderr (unlike the byte-compared
   // sinks), and --stats tolerates --reps > 1 (rep 0 is the observed one).
-  EXPECT_NE(r.err.find("obs: framepool.arenaBytes = "), std::string::npos);
+  EXPECT_NE(r.err.find("obs: framepool.heapFrames = "), std::string::npos);
 
   auto reps = smallArgs();
   reps.emplace_back("--stats");
