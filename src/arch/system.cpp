@@ -29,7 +29,7 @@ System::System(const SystemConfig& cfg)
     : cfg_(validated(cfg)),
       net_(engine_, cfg_),
       alloc_(cfg_),
-      spm_(cfg_.numWords(), 0),
+      spm_(cfg_.numWords()),
       banks_(cfg_.numBanks()),
       cores_(cfg_.numCores) {
   for (BankId b = 0; b < cfg_.numBanks(); ++b) {
@@ -215,8 +215,9 @@ void System::attachObservability() {
     }
     return static_cast<double>(n);
   });
-  // Coroutine frames allocated since the run began; the pooled/heap split
-  // below is allocator detail, so only the sum is deterministic.
+  // Coroutine frames this run's thread allocated since the run began (the
+  // frame counters are per thread); the pooled/heap split below is
+  // allocator detail, so only the sum is deterministic.
   reg.gauge("framepool.frames", [rec] {
     return static_cast<double>(sim::framepool::pooledFrameCount() +
                                sim::framepool::heapFrameCount()) -

@@ -6,10 +6,10 @@
 // clears the event queue before destroying coroutine frames so no stale
 // event can touch a dead frame.
 //
-// State is stored flat: one SPM word array indexed by address, and banks
-// and cores built in place in fixed-capacity arrays, so no address that an
-// event, adapter or awaiter captured ever moves (docs/ARCHITECTURE.md,
-// "System memory layout").
+// State is stored flat: one demand-zero SPM word array indexed by address,
+// and banks and cores built in place in fixed-capacity arrays, so no
+// address that an event, adapter or awaiter captured ever moves
+// (docs/ARCHITECTURE.md, "System memory layout").
 #pragma once
 
 #include <cstdint>
@@ -26,6 +26,7 @@
 #include "core/core.hpp"
 #include "fault/fault.hpp"
 #include "fault/watchdog.hpp"
+#include "sim/demand_zero.hpp"
 #include "sim/engine.hpp"
 #include "sim/pinned_array.hpp"
 #include "sim/task.hpp"
@@ -129,9 +130,9 @@ class System final : public CoreSink {
   sim::Engine engine_;
   Network net_;
   Allocator alloc_;
-  // The whole SPM, indexed by address. Declared before the banks that
-  // point into it, so it outlives them.
-  std::vector<sim::Word> spm_;
+  // The whole SPM, indexed by address; only written pages are resident.
+  // Declared before the banks that point into it, so it outlives them.
+  sim::DemandZeroArray<sim::Word> spm_;
   sim::PinnedArray<Bank> banks_;
   std::vector<atomics::Qnode> qnodes_;
   sim::PinnedArray<Core> cores_;

@@ -713,9 +713,8 @@ int runScenario(const Options& opts, std::ostream& out, std::ostream& err) {
   const bool wantSampling = !opts.metricsCsv.empty();
   const bool wantTrace = !opts.trace.empty();
   if ((wantSampling || wantTrace) && opts.reps > 1) {
-    // Concurrent repetitions share process-wide state (the coroutine frame
-    // pool) that would bleed into sampled values; the byte-compared sinks
-    // observe exactly one run.
+    // A Recorder observes one System (rep 0); the byte-compared sinks
+    // must not silently cover one of several repetitions.
     err << "colibri-sim: --metrics-csv/--trace require --reps 1\n";
     return 2;
   }

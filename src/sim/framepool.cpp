@@ -1,6 +1,5 @@
 #include "sim/framepool.hpp"
 
-#include <atomic>
 #include <new>
 
 #include "sim/check.hpp"
@@ -41,8 +40,10 @@ std::uint32_t classFor(std::size_t size) {
   return kHeapClass;
 }
 
-std::atomic<std::uint64_t> pooledCount{0};
-std::atomic<std::uint64_t> heapCount{0};
+// This thread's cache hits and heap frames. Per thread, so a run's frame
+// count is not mixed with that of runs on other threads.
+thread_local std::uint64_t pooledCount = 0;
+thread_local std::uint64_t heapCount = 0;
 
 /// One thread's free lists, one per size class. Every block is a plain
 /// `::operator new` allocation, so a block may be released on any thread
@@ -76,7 +77,7 @@ void* allocate(std::size_t size) {
     Header* h = cache.freeLists[cls];
     cache.freeLists[cls] = h->next;
     h->magic = kMagic;
-    pooledCount.fetch_add(1, std::memory_order_relaxed);
+    ++pooledCount;
     return reinterpret_cast<std::byte*>(h) + kHeaderSize;
   }
   const std::size_t bytes = cls == kHeapClass ? size : kClassSizes[cls];
@@ -84,7 +85,7 @@ void* allocate(std::size_t size) {
   auto* h = reinterpret_cast<Header*>(raw);
   h->cls = cls;
   h->magic = kMagic;
-  heapCount.fetch_add(1, std::memory_order_relaxed);
+  ++heapCount;
   return raw + kHeaderSize;
 }
 
@@ -110,12 +111,8 @@ void release(void* p) noexcept {
   cache.freeLists[h->cls] = h;
 }
 
-std::uint64_t pooledFrameCount() noexcept {
-  return pooledCount.load(std::memory_order_relaxed);
-}
+std::uint64_t pooledFrameCount() noexcept { return pooledCount; }
 
-std::uint64_t heapFrameCount() noexcept {
-  return heapCount.load(std::memory_order_relaxed);
-}
+std::uint64_t heapFrameCount() noexcept { return heapCount; }
 
 }  // namespace colibri::sim::framepool

@@ -7,7 +7,7 @@
 // oversized frame) is one `::operator new`, and a released block goes onto
 // the releasing thread's list, ready for the next frame of its class. A
 // thread's lists go back to the heap when the thread exits. Nothing is
-// shared between threads except the two relaxed counters below.
+// shared between threads; the counters below are per thread too.
 //
 // Blocks carry a 16-byte header recording their size class (or that they
 // are oversized), so release() needs no external lookup and can reject a
@@ -28,13 +28,13 @@ namespace framepool {
 /// Return a block obtained from allocate().
 void release(void* p) noexcept;
 
-/// Number of frame allocations served from a thread's cache since process
-/// start.
+/// Number of frame allocations the calling thread served from its cache
+/// since the thread started.
 [[nodiscard]] std::uint64_t pooledFrameCount() noexcept;
 
-/// Number of frame allocations taken from the system heap: cache misses
-/// plus oversized frames. Test hook: re-running a simulation on the same
-/// thread must not move this counter.
+/// Number of frame allocations the calling thread took from the system
+/// heap since it started: cache misses plus oversized frames. Test hook:
+/// re-running a simulation on the same thread must not move this counter.
 [[nodiscard]] std::uint64_t heapFrameCount() noexcept;
 
 }  // namespace framepool

@@ -4,7 +4,8 @@
 // accesses/cycle) and fairness (per-core min/max spread). WindowedCounter
 // supports warmup-then-measure: events before the window opens are counted
 // separately and excluded from the reported rate. Summary computes the
-// descriptive statistics the figures need.
+// descriptive statistics the figures need; CycleSamples collects the
+// cycle counts (latencies, waits) it is computed over.
 #pragma once
 
 #include <algorithm>
@@ -71,8 +72,6 @@ struct Summary {
   std::size_t count = 0;
 
   static Summary of(std::span<const double> xs);
-  /// Same result as of(xs), but sorts `xs` in place instead of a copy.
-  static Summary ofInPlace(std::span<double> xs);
   static Summary ofCounts(std::span<const std::uint64_t> xs);
 
   /// Linearly interpolated quantile over an *ascending-sorted* sample;
@@ -81,6 +80,40 @@ struct Summary {
 
   /// Jain's fairness index: 1.0 = perfectly fair, 1/n = maximally unfair.
   static double jainIndex(std::span<const std::uint64_t> xs);
+};
+
+/// Exact sample of cycle counts (op latencies, lock waits) in bounded
+/// memory. Values below kDenseBound are counted in a fixed dense array;
+/// the rare longer ones go into a plain list that summary() sorts once.
+/// summary() equals Summary::of over the same values bit for bit.
+class CycleSamples {
+ public:
+  static constexpr Cycle kDenseBound = 4096;
+
+  CycleSamples() : dense_(kDenseBound, 0) {}
+
+  void add(Cycle c) {
+    ++count_;
+    if (c < kDenseBound) {
+      ++dense_[c];
+    } else {
+      long_.push_back(c);
+    }
+  }
+
+  /// Heap bytes held: the dense array plus the list of long values.
+  [[nodiscard]] std::size_t heapBytes() const {
+    return dense_.capacity() * sizeof(std::uint64_t) +
+           long_.capacity() * sizeof(Cycle);
+  }
+
+  /// Summary of every value added so far (sorts the long list in place).
+  [[nodiscard]] Summary summary();
+
+ private:
+  std::vector<std::uint64_t> dense_;  // dense_[c] = occurrences of c
+  std::vector<Cycle> long_;           // values >= kDenseBound
+  std::size_t count_ = 0;
 };
 
 /// Online accumulator for streaming samples (latency distributions).

@@ -4,6 +4,7 @@
 
 #include "sim/check.hpp"
 #include "sim/random.hpp"
+#include "sim/stats.hpp"
 #include "sync/spinlock.hpp"
 
 namespace colibri::workloads {
@@ -20,7 +21,7 @@ struct LockCtx {
   sim::Cycle windowStart = 0;
   sim::Cycle windowEnd = 0;
   std::vector<std::uint64_t> perCoreWindow;
-  std::vector<std::vector<double>> perCoreWait;
+  sim::CycleSamples waits;  // of every acquisition inside the window
   std::uint64_t acquisitions = 0;
   std::uint64_t exclusionViolations = 0;
 };
@@ -50,7 +51,7 @@ sim::Task lockWorker(arch::System& sys, arch::Core& core, LockCtx& ctx,
     ++ctx.acquisitions;
     if (held >= ctx.windowStart && held < ctx.windowEnd) {
       ++ctx.perCoreWindow[idx];
-      ctx.perCoreWait[idx].push_back(static_cast<double>(held - waitFrom));
+      ctx.waits.add(held - waitFrom);
     }
     co_await core.delay(1 + ctx.params->thinkCycles + rng.below(8));
   }
@@ -77,7 +78,6 @@ LockFairResult runLockFair(arch::System& sys, const LockFairParams& p) {
   sys.poke(ctx.overlap, 0);
   sys.poke(ctx.shared, 0);
   ctx.perCoreWindow.assign(participants, 0);
-  ctx.perCoreWait.resize(participants);
   ctx.windowStart = p.window.warmup;
   ctx.windowEnd = p.window.horizon();
 
@@ -107,16 +107,7 @@ LockFairResult runLockFair(arch::System& sys, const LockFairParams& p) {
 
   res.rate = summarizeRates(ctx.perCoreWindow, p.window.measure, counters);
   res.acqSpread = sim::Summary::ofCounts(ctx.perCoreWindow);
-  std::size_t samples = 0;
-  for (const auto& v : ctx.perCoreWait) {
-    samples += v.size();
-  }
-  std::vector<double> waits;
-  waits.reserve(samples);
-  for (const auto& v : ctx.perCoreWait) {
-    waits.insert(waits.end(), v.begin(), v.end());
-  }
-  res.handoff = sim::Summary::of(waits);
+  res.handoff = ctx.waits.summary();
   return res;
 }
 

@@ -127,8 +127,21 @@ TEST(FramePool, CrossThreadChurnKeepsBlocksExclusive) {
   std::deque<void*> handoff;
   bool done = false;
   std::size_t corrupt = 0;
-  const auto pooledBefore = framepool::pooledFrameCount();
-  const auto heapBefore = framepool::heapFrameCount();
+  // Each thread's frame counts, sampled on that thread around its body.
+  struct Counts {
+    std::uint64_t pooled = 0;
+    std::uint64_t heap = 0;
+  };
+  auto countsNow = [] {
+    return Counts{framepool::pooledFrameCount(), framepool::heapFrameCount()};
+  };
+  auto since = [&countsNow](const Counts& before) {
+    const Counts now = countsNow();
+    return Counts{now.pooled - before.pooled, now.heap - before.heap};
+  };
+  Counts producer;
+  Counts consumer;
+  const Counts mainBefore = countsNow();
 
   auto stamp = [](void* p, std::size_t n, std::uint8_t v) {
     std::memset(p, v, n);
@@ -138,6 +151,7 @@ TEST(FramePool, CrossThreadChurnKeepsBlocksExclusive) {
   const bool inTime = parallelExecute(
       30s,
       {[&] {
+         const Counts before = countsNow();
          for (std::size_t i = 0; i < kFrames; ++i) {
            void* p = framepool::allocate(sizeOf(i));
            stamp(p, sizeOf(i), static_cast<std::uint8_t>(i));
@@ -152,8 +166,10 @@ TEST(FramePool, CrossThreadChurnKeepsBlocksExclusive) {
            done = true;
          }
          cv.notify_one();
+         producer = since(before);
        },
        [&] {
+         const Counts before = countsNow();
          for (std::size_t i = 0;; ++i) {
            void* p;
            {
@@ -174,16 +190,23 @@ TEST(FramePool, CrossThreadChurnKeepsBlocksExclusive) {
            stamp(p, sizeOf(i), 0xDD);
            framepool::release(p);
          }
+         consumer = since(before);
        }});
 
   EXPECT_TRUE(inTime) << "cross-thread churn exceeded its time bound";
   EXPECT_EQ(corrupt, 0u);
   EXPECT_TRUE(handoff.empty());
-  // Every allocation was counted exactly once, as a cache hit or a heap
-  // frame. The consumer's releases fill its own lists, never the
-  // producer's, so the producer keeps missing.
-  EXPECT_EQ(framepool::pooledFrameCount() + framepool::heapFrameCount(),
-            pooledBefore + heapBefore + kFrames);
+  // The counters are per thread: every allocation was counted exactly
+  // once, on the producer, as a heap frame. The consumer's releases fill
+  // its own lists, never the producer's, so the producer keeps missing.
+  // The consumer allocated nothing, and neither did this thread.
+  EXPECT_EQ(producer.heap, kFrames);
+  EXPECT_EQ(producer.pooled, 0u);
+  EXPECT_EQ(consumer.heap, 0u);
+  EXPECT_EQ(consumer.pooled, 0u);
+  const Counts mainThread = since(mainBefore);
+  EXPECT_EQ(mainThread.heap, 0u);
+  EXPECT_EQ(mainThread.pooled, 0u);
 }
 
 }  // namespace

@@ -96,22 +96,6 @@ TEST(Summary, EvenCountMedianAverages) {
   EXPECT_DOUBLE_EQ(Summary::of(xs).median, 2.5);
 }
 
-TEST(Summary, OfInPlaceMatchesOfAndSortsItsInput) {
-  const std::vector<double> xs{5, 1, 4, 2, 3, 9, 7};
-  std::vector<double> buf = xs;
-  const auto a = Summary::of(xs);
-  const auto b = Summary::ofInPlace(buf);
-  EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.min, b.min);
-  EXPECT_EQ(a.max, b.max);
-  EXPECT_EQ(a.mean, b.mean);
-  EXPECT_EQ(a.stddev, b.stddev);
-  EXPECT_EQ(a.median, b.median);
-  EXPECT_EQ(a.p95, b.p95);
-  EXPECT_EQ(a.p99, b.p99);
-  EXPECT_TRUE(std::is_sorted(buf.begin(), buf.end()));
-}
-
 TEST(Summary, EmptyIsZeros) {
   const auto s = Summary::of({});
   EXPECT_EQ(s.count, 0u);
@@ -158,6 +142,79 @@ TEST(Summary, JainIndexFairVsUnfair) {
   const std::vector<std::uint64_t> unfair{40, 0, 0, 0};
   EXPECT_DOUBLE_EQ(Summary::jainIndex(fair), 1.0);
   EXPECT_DOUBLE_EQ(Summary::jainIndex(unfair), 0.25);
+}
+
+/// Every field of a.summary() must equal Summary::of over the same values
+/// exactly, not within a tolerance.
+void expectSameSummary(const Summary& a, const Summary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.stddev, b.stddev);
+  EXPECT_EQ(a.median, b.median);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p95, b.p95);
+  EXPECT_EQ(a.p99, b.p99);
+}
+
+void expectMatchesOf(const std::vector<Cycle>& values) {
+  CycleSamples samples;
+  std::vector<double> xs;
+  for (const Cycle c : values) {
+    samples.add(c);
+    xs.push_back(static_cast<double>(c));
+  }
+  expectSameSummary(samples.summary(), Summary::of(xs));
+}
+
+TEST(CycleSamples, SmallCountsMatchSummaryOf) {
+  constexpr Cycle kLong = CycleSamples::kDenseBound + 5;
+  expectMatchesOf({});
+  expectMatchesOf({7});
+  expectMatchesOf({kLong});
+  expectMatchesOf({9, 3, 3});               // odd, dense only
+  expectMatchesOf({9, 3, 3, 12});           // even, dense only
+  expectMatchesOf({kLong, 3, kLong + 1});   // odd, straddling the bound
+  expectMatchesOf({kLong, 3, 0, kLong});    // even, median across it
+  expectMatchesOf({CycleSamples::kDenseBound - 1, CycleSamples::kDenseBound});
+}
+
+TEST(CycleSamples, RandomizedSamplesStraddlingTheBoundMatchSummaryOf) {
+  Xoshiro256 rng(0xC7C1E5);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Mostly short latencies with a long tail past the dense bound, at
+    // sizes of both parities.
+    const auto n = static_cast<std::size_t>(1 + rng.below(3000));
+    std::vector<Cycle> values;
+    for (std::size_t i = 0; i < n; ++i) {
+      values.push_back(rng.uniform01() < 0.9
+                           ? rng.below(CycleSamples::kDenseBound)
+                           : rng.below(300'000));
+    }
+    SCOPED_TRACE(trial);
+    expectMatchesOf(values);
+  }
+}
+
+TEST(CycleSamples, FewVeryLongLatenciesKeepMemoryBounded) {
+  // A contended lock run: a handful of 200k-cycle waits among short ones.
+  CycleSamples samples;
+  const std::size_t denseBytes =
+      CycleSamples::kDenseBound * sizeof(std::uint64_t);
+  for (Cycle c = 0; c < 100'000; ++c) {
+    samples.add(c % 300);
+  }
+  for (Cycle c = 0; c < 8; ++c) {
+    samples.add(200'000 + c * 1'000);
+  }
+  // The dense array plus at most a small list: nothing sized by the
+  // largest latency.
+  EXPECT_LE(samples.heapBytes(), denseBytes + 64 * sizeof(Cycle));
+  const Summary s = samples.summary();
+  EXPECT_EQ(s.count, 100'008u);
+  EXPECT_EQ(s.max, 207'000.0);
+  EXPECT_EQ(s.min, 0.0);
 }
 
 TEST(Accumulator, TracksMoments) {
